@@ -6,69 +6,23 @@
 //! verified against the naive oracles and in turn serve as the oracle
 //! for the double-buffered implementation at sizes where `O(n²)`
 //! verification is too slow.
+//!
+//! The loops are `bwfft_core::reference`'s row-column passes — the same
+//! code the supervisor's reference tier runs — fed a scratch pencil
+//! allocated here.
 
-use bwfft_kernels::{Direction, Fft1d};
+use bwfft_core::reference::{pencil_pass, row_column_2d, row_column_3d};
+use bwfft_kernels::Direction;
 use bwfft_num::Complex64;
 
 /// Pencil–pencil 2D FFT of an `n × m` row-major array.
 pub fn pencil_fft_2d(data: &mut [Complex64], n: usize, m: usize, dir: Direction) {
-    assert_eq!(data.len(), n * m);
-    // Stage 1: rows (contiguous pencils).
-    let mut row_fft = Fft1d::new(m, dir);
-    for row in data.chunks_exact_mut(m) {
-        row_fft.run(row);
-    }
-    // Stage 2: columns (stride-m pencils, gather/scatter).
-    let mut col_fft = Fft1d::new(n, dir);
-    let mut pencil = vec![Complex64::ZERO; n];
-    for c in 0..m {
-        for r in 0..n {
-            pencil[r] = data[r * m + c];
-        }
-        col_fft.run(&mut pencil);
-        for r in 0..n {
-            data[r * m + c] = pencil[r];
-        }
-    }
+    row_column_2d(data, n, m, dir, &mut vec![Complex64::ZERO; n]);
 }
 
 /// Pencil–pencil 3D FFT of a `k × n × m` row-major cube.
 pub fn pencil_fft_3d(data: &mut [Complex64], k: usize, n: usize, m: usize, dir: Direction) {
-    assert_eq!(data.len(), k * n * m);
-    // Stage 1: x-pencils (contiguous).
-    let mut x_fft = Fft1d::new(m, dir);
-    for row in data.chunks_exact_mut(m) {
-        x_fft.run(row);
-    }
-    // Stage 2: y-pencils (stride m within each slab).
-    let mut y_fft = Fft1d::new(n, dir);
-    let mut pencil = vec![Complex64::ZERO; n];
-    for z in 0..k {
-        let slab = &mut data[z * n * m..(z + 1) * n * m];
-        for x in 0..m {
-            for y in 0..n {
-                pencil[y] = slab[y * m + x];
-            }
-            y_fft.run(&mut pencil);
-            for y in 0..n {
-                slab[y * m + x] = pencil[y];
-            }
-        }
-    }
-    // Stage 3: z-pencils (stride n·m).
-    let mut z_fft = Fft1d::new(k, dir);
-    let mut zpencil = vec![Complex64::ZERO; k];
-    for y in 0..n {
-        for x in 0..m {
-            for z in 0..k {
-                zpencil[z] = data[z * n * m + y * m + x];
-            }
-            z_fft.run(&mut zpencil);
-            for z in 0..k {
-                data[z * n * m + y * m + x] = zpencil[z];
-            }
-        }
-    }
+    row_column_3d(data, k, n, m, dir, &mut vec![Complex64::ZERO; k.max(n)]);
 }
 
 /// Slab–pencil 3D FFT: a 2D FFT per z-slab (fused stages 1+2, one
@@ -76,22 +30,11 @@ pub fn pencil_fft_3d(data: &mut [Complex64], k: usize, n: usize, m: usize, dir: 
 /// plan FFTW effectively uses on large-cache parts (§II-B ref [5], §V).
 pub fn slab_pencil_fft_3d(data: &mut [Complex64], k: usize, n: usize, m: usize, dir: Direction) {
     assert_eq!(data.len(), k * n * m);
-    for z in 0..k {
-        pencil_fft_2d(&mut data[z * n * m..(z + 1) * n * m], n, m, dir);
+    let mut pencil = vec![Complex64::ZERO; k.max(n)];
+    for slab in data.chunks_exact_mut(n * m) {
+        row_column_2d(slab, n, m, dir, &mut pencil);
     }
-    let mut z_fft = Fft1d::new(k, dir);
-    let mut zpencil = vec![Complex64::ZERO; k];
-    for y in 0..n {
-        for x in 0..m {
-            for z in 0..k {
-                zpencil[z] = data[z * n * m + y * m + x];
-            }
-            z_fft.run(&mut zpencil);
-            for z in 0..k {
-                data[z * n * m + y * m + x] = zpencil[z];
-            }
-        }
-    }
+    pencil_pass(data, k, n * m, dir, &mut pencil);
 }
 
 #[cfg(test)]

@@ -34,7 +34,7 @@ use bwfft_machine::MachineSpec;
 use bwfft_tuner::HostFingerprint;
 use std::fmt;
 
-use measure::{measure_plan, measure_plan_paired, Measured, MeasureConfig};
+use measure::{interleave, measure_plan, Measured, MeasureConfig, Side};
 use record::{BenchReport, StageMetric, SuiteResult};
 use stats::StatsConfig;
 use suite::{suite, SuiteCase, SuiteKind};
@@ -70,44 +70,74 @@ impl std::error::Error for HarnessError {}
 /// `anchor` supplies the STREAM roofline the per-stage
 /// `percent_of_stream` column is computed against; `progress` (when
 /// true) prints one line per case as it completes.
+///
+/// With `paired`, every case is measured as the executor pair (see
+/// [`measure_plan`]): plain reps on side A, integrity-guarded reps on
+/// side B, interleaved rep by rep. The result is `(A, B)`, and B is
+/// `None` when unpaired. Gating B against A with the ordinary
+/// regression gate asserts the guards' cost with machine drift
+/// cancelled out.
 pub fn run_suite(
     kind: SuiteKind,
     measure_cfg: &MeasureConfig,
     stats_cfg: &StatsConfig,
     anchor: &MachineSpec,
+    paired: bool,
     progress: bool,
-) -> Result<BenchReport, HarnessError> {
+) -> Result<(BenchReport, Option<BenchReport>), HarnessError> {
     let stream_gbs = anchor.total_dram_bw_gbs();
     let mut suites = Vec::new();
+    let mut guarded_suites = Vec::new();
     for case in suite(kind) {
         let plan = case.build_plan().map_err(|error| HarnessError::Plan {
             key: case.key.clone(),
             error,
         })?;
-        let measured =
-            measure_plan(&plan, measure_cfg, Some(stream_gbs)).map_err(|error| {
+        let (plain, guarded) =
+            measure_plan(&plan, measure_cfg, Some(stream_gbs), paired).map_err(|error| {
                 HarnessError::Exec {
                     key: case.key.clone(),
                     error,
                 }
             })?;
-        let result = suite_result(&case, &plan, measured, measure_cfg, stats_cfg)?;
+        let result = suite_result(&case, &plan, plain, measure_cfg, stats_cfg)?;
+        let guarded = guarded
+            .map(|m| suite_result(&case, &plan, m, measure_cfg, stats_cfg))
+            .transpose()?;
         if progress {
-            println!(
-                "  {:<34} median {:>10.3} ms  ±{:>4.1}%  {:>6.2} GF/s  ({} reps, {} rejected)",
-                case.key,
-                result.stats.median_ns / 1e6,
-                result.stats.ci_halfwidth_pct(),
-                result.gflops,
-                result.stats.n_raw,
-                result.stats.rejected()
-            );
+            match &guarded {
+                None => println!(
+                    "  {:<34} median {:>10.3} ms  ±{:>4.1}%  {:>6.2} GF/s  ({} reps, {} rejected)",
+                    case.key,
+                    result.stats.median_ns / 1e6,
+                    result.stats.ci_halfwidth_pct(),
+                    result.gflops,
+                    result.stats.n_raw,
+                    result.stats.rejected()
+                ),
+                Some(g) => println!(
+                    "  {:<34} plain {:>10.3} ms  guarded {:>10.3} ms  ({:+.1}%)",
+                    case.key,
+                    result.stats.median_ns / 1e6,
+                    g.stats.median_ns / 1e6,
+                    (g.stats.median_ns / result.stats.median_ns - 1.0) * 100.0
+                ),
+            }
         }
         suites.push(result);
+        guarded_suites.extend(guarded);
+    }
+    if paired {
+        // The pair gates in-memory reps only; the storage and real rows
+        // below would have no guarded twin.
+        let guarded = assemble_report(kind, measure_cfg, anchor, stream_gbs, guarded_suites);
+        return Ok((
+            assemble_report(kind, measure_cfg, anchor, stream_gbs, suites),
+            Some(guarded),
+        ));
     }
     // The storage tier rides along on the trajectory suites (not smoke:
-    // verify.sh has its own ooc smoke, and not the paired integrity
-    // run, whose gate pairs in-memory reps only). The rows are new keys
+    // verify.sh has its own ooc smoke). The rows are new keys
     // (`ooc:*`), which the compare gate treats as unpaired — additive,
     // never a regression against pre-ooc baselines.
     if matches!(kind, SuiteKind::Fast | SuiteKind::Full) {
@@ -150,7 +180,10 @@ pub fn run_suite(
             suites.push(result);
         }
     }
-    Ok(assemble_report(kind, measure_cfg, anchor, stream_gbs, suites))
+    Ok((
+        assemble_report(kind, measure_cfg, anchor, stream_gbs, suites),
+        None,
+    ))
 }
 
 /// One storage-tier trajectory case: a 1D size streamed under a budget
@@ -198,20 +231,16 @@ fn ooc_suite_result(
             }
         })
     };
-    for _ in 0..measure_cfg.warmup {
-        run()?;
-    }
-    let mut times_ns = Vec::with_capacity(measure_cfg.reps);
-    let mut last = run()?;
-    times_ns.push(last.report.wall_ns as f64);
-    for _ in 1..measure_cfg.reps {
-        last = run()?;
-        times_ns.push(last.report.wall_ns as f64);
-    }
-    let summary = stats::summarize(&times_ns, stats_cfg).map_err(|error| HarnessError::Stats {
+    let (runs, _) = interleave(measure_cfg.warmup, measure_cfg.reps, false, |_| run())?;
+    let stats_err = |error| HarnessError::Stats {
         key: case.key.clone(),
         error,
-    })?;
+    };
+    let Some(last) = runs.last() else {
+        return Err(stats_err(stats::StatsError::EmptySample));
+    };
+    let times_ns: Vec<f64> = runs.iter().map(|r| r.report.wall_ns as f64).collect();
+    let summary = stats::summarize(&times_ns, stats_cfg).map_err(stats_err)?;
     let gflops = if summary.median_ns > 0.0 {
         5.0 * case.n as f64 * (case.n as f64).log2() / summary.median_ns
     } else {
@@ -275,15 +304,16 @@ fn real_suite_cases(kind: SuiteKind) -> Vec<RealSuiteCase> {
     out
 }
 
-/// Measures one real-transform case. Each timed rep runs the real
-/// path and the same-size complex path back to back on the same
-/// input, so the `real` column's ratio has machine drift cancelled
-/// out. Byte counts follow the array-I/O model (DESIGN.md §13): what
-/// each path reads and writes at its boundary, not internal transform
-/// traffic — `r2c` moves `8n` real bytes in and `16·(n/2+1)` packed
-/// bytes out where the complex path moves `16n` in and `16n` out; the
-/// fused convolution never materializes the product spectrum where
-/// the complex pipeline writes and re-reads both full spectra.
+/// Measures one real-transform case as an A/B pair: the real path on
+/// side A, the same-size complex path on side B, interleaved rep by
+/// rep on the same input, so the `real` column's ratio has machine
+/// drift cancelled out. Byte counts follow the array-I/O model
+/// (DESIGN.md §13): what each path reads and writes at its boundary,
+/// not internal transform traffic — `r2c` moves `8n` real bytes in and
+/// `16·(n/2+1)` packed bytes out where the complex path moves `16n` in
+/// and `16n` out; the fused convolution never materializes the product
+/// spectrum where the complex pipeline writes and re-reads both full
+/// spectra.
 fn real_suite_result(
     case: &RealSuiteCase,
     measure_cfg: &MeasureConfig,
@@ -293,6 +323,7 @@ fn real_suite_result(
     use bwfft_kernels::realfft::{RealFft1d, SpectralConv1d};
     use bwfft_kernels::Direction;
     use bwfft_num::Complex64;
+    use std::time::Instant;
 
     let n = case.n;
     let half = n / 2 + 1;
@@ -311,45 +342,35 @@ fn real_suite_result(
     let mut gspec = xc.clone();
     fwd.run(&mut gspec);
 
-    // One matched rep: (real-path ns, complex-path ns).
-    let mut rep = |real_plan: &mut RealFft1d, conv_plan: &mut SpectralConv1d| {
-        let real_ns = if case.conv {
-            buf_r.copy_from_slice(&x);
-            let t = std::time::Instant::now();
-            conv_plan.run(&mut buf_r);
-            t.elapsed().as_nanos() as f64
-        } else {
-            let t = std::time::Instant::now();
-            real_plan.r2c(&x, &mut spec);
-            t.elapsed().as_nanos() as f64
-        };
-        let complex_ns = if case.conv {
-            buf_c.copy_from_slice(&xc);
-            let t = std::time::Instant::now();
-            fwd.run(&mut buf_c);
-            for (a, b) in buf_c.iter_mut().zip(&gspec) {
-                *a *= *b;
+    let time = |side: Side| {
+        let elapsed = match (side, case.conv) {
+            (Side::A, true) => {
+                buf_r.copy_from_slice(&x);
+                let t = Instant::now();
+                conv_plan.run(&mut buf_r);
+                t.elapsed()
             }
-            inv.run_normalized(&mut buf_c);
-            t.elapsed().as_nanos() as f64
-        } else {
-            buf_c.copy_from_slice(&xc);
-            let t = std::time::Instant::now();
-            fwd.run(&mut buf_c);
-            t.elapsed().as_nanos() as f64
+            (Side::A, false) => {
+                let t = Instant::now();
+                real_plan.r2c(&x, &mut spec);
+                t.elapsed()
+            }
+            (Side::B, conv) => {
+                buf_c.copy_from_slice(&xc);
+                let t = Instant::now();
+                fwd.run(&mut buf_c);
+                if conv {
+                    for (a, b) in buf_c.iter_mut().zip(&gspec) {
+                        *a *= *b;
+                    }
+                    inv.run_normalized(&mut buf_c);
+                }
+                t.elapsed()
+            }
         };
-        (real_ns, complex_ns)
+        Ok::<_, std::convert::Infallible>(elapsed.as_nanos() as f64)
     };
-    for _ in 0..measure_cfg.warmup {
-        rep(&mut real_plan, &mut conv_plan);
-    }
-    let mut real_ns = Vec::with_capacity(measure_cfg.reps);
-    let mut complex_ns = Vec::with_capacity(measure_cfg.reps);
-    for _ in 0..measure_cfg.reps {
-        let (r, c) = rep(&mut real_plan, &mut conv_plan);
-        real_ns.push(r);
-        complex_ns.push(c);
-    }
+    let Ok((real_ns, complex_ns)) = interleave(measure_cfg.warmup, measure_cfg.reps, true, time);
     let summary = stats::summarize(&real_ns, stats_cfg).map_err(|error| HarnessError::Stats {
         key: case.key.clone(),
         error,
@@ -406,58 +427,8 @@ fn real_suite_result(
     })
 }
 
-/// Runs the canonical suite with rep-level paired measurement (see
-/// [`measure_plan_paired`]) and returns both records as
-/// `(plain, guarded)`. This is what the integrity-overhead gate runs:
-/// comparing the pair with the ordinary regression gate asserts the
-/// guards' cost with machine drift cancelled out.
-pub fn run_suite_paired(
-    kind: SuiteKind,
-    measure_cfg: &MeasureConfig,
-    stats_cfg: &StatsConfig,
-    anchor: &MachineSpec,
-    progress: bool,
-) -> Result<(BenchReport, BenchReport), HarnessError> {
-    let stream_gbs = anchor.total_dram_bw_gbs();
-    let mut plain_suites = Vec::new();
-    let mut guarded_suites = Vec::new();
-    for case in suite(kind) {
-        let plan = case.build_plan().map_err(|error| HarnessError::Plan {
-            key: case.key.clone(),
-            error,
-        })?;
-        let (plain, guarded) = measure_plan_paired(&plan, measure_cfg, Some(stream_gbs))
-            .map_err(|error| HarnessError::Exec {
-                key: case.key.clone(),
-                error,
-            })?;
-        let plain = suite_result(&case, &plan, plain, measure_cfg, stats_cfg)?;
-        let guarded = suite_result(&case, &plan, guarded, measure_cfg, stats_cfg)?;
-        if progress {
-            let delta = if plain.stats.median_ns > 0.0 {
-                (guarded.stats.median_ns - plain.stats.median_ns) / plain.stats.median_ns * 100.0
-            } else {
-                0.0
-            };
-            println!(
-                "  {:<34} plain {:>10.3} ms  guarded {:>10.3} ms  ({:+.1}%)",
-                case.key,
-                plain.stats.median_ns / 1e6,
-                guarded.stats.median_ns / 1e6,
-                delta
-            );
-        }
-        plain_suites.push(plain);
-        guarded_suites.push(guarded);
-    }
-    Ok((
-        assemble_report(kind, measure_cfg, anchor, stream_gbs, plain_suites),
-        assemble_report(kind, measure_cfg, anchor, stream_gbs, guarded_suites),
-    ))
-}
-
 /// Folds one case's measurement into the record row the BENCH schema
-/// stores — shared by the plain and paired suite runners.
+/// stores — shared by both sides of the executor pair.
 fn suite_result(
     case: &SuiteCase,
     plan: &FftPlan,

@@ -8,6 +8,11 @@
 //! fraction, achieved GB/s, % of STREAM). Timing and tracing are
 //! separate reps on purpose: the trace rep pays for span recording and
 //! must not contaminate the sample.
+//!
+//! [`interleave`] is the loop itself, and the only A/B loop in the
+//! harness: the executor suites' plain/guarded pair, the serve suite's
+//! metrics-off/metrics-on pair and the real rows' real/complex pair
+//! all run through it.
 
 use bwfft_core::exec_real::{execute_with, ExecConfig};
 use bwfft_core::{profile, CoreError, FftPlan};
@@ -27,13 +32,6 @@ pub struct MeasureConfig {
     /// Seed of the deterministic input signal; the same seed yields the
     /// same input, element for element, across runs and machines.
     pub seed: u64,
-    /// Arm the steady-state integrity guards (buffer canaries,
-    /// per-block checksums) in the timed repetitions. Used to measure
-    /// the guards' overhead against a plain record. The whole-run
-    /// Parseval check is excluded: it is a per-run verification like
-    /// `--verify`, not an always-on guard, and its two fixed full-array
-    /// passes would swamp the per-block cost on small suite shapes.
-    pub integrity: bool,
 }
 
 impl Default for MeasureConfig {
@@ -42,9 +40,57 @@ impl Default for MeasureConfig {
             warmup: 2,
             reps: 5,
             seed: 42,
-            integrity: false,
         }
     }
+}
+
+/// One half of an A/B pair: `A` is the baseline side, `B` the side
+/// under test.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Side {
+    A,
+    B,
+}
+
+/// The one measurement loop of the harness: `warmup` discarded rounds,
+/// then `reps` recorded rounds. A round runs side A, or — when
+/// `paired` — both sides, with the order alternating every round so
+/// neither side systematically inherits the other's cache and
+/// scheduler state. Interleaving at the rep level means slow machine
+/// drift (thermal throttling, background load) biases both samples
+/// equally, so a pair supports a much tighter threshold than two
+/// back-to-back runs. Returns the `(A, B)` samples, `reps` each; B is
+/// empty when unpaired.
+pub fn interleave<T, E>(
+    warmup: usize,
+    reps: usize,
+    paired: bool,
+    mut run: impl FnMut(Side) -> Result<T, E>,
+) -> Result<(Vec<T>, Vec<T>), E> {
+    let order = |round: usize| -> &'static [Side] {
+        match (paired, round % 2) {
+            (false, _) => &[Side::A],
+            (true, 0) => &[Side::A, Side::B],
+            (true, _) => &[Side::B, Side::A],
+        }
+    };
+    for round in 0..warmup {
+        for &side in order(round) {
+            run(side)?;
+        }
+    }
+    let mut a = Vec::with_capacity(reps);
+    let mut b = Vec::with_capacity(if paired { reps } else { 0 });
+    for round in 0..reps {
+        for &side in order(round) {
+            let sample = run(side)?;
+            match side {
+                Side::A => a.push(sample),
+                Side::B => b.push(sample),
+            }
+        }
+    }
+    Ok((a, b))
 }
 
 /// What one measured case produced: the raw timing sample plus the
@@ -63,66 +109,19 @@ pub struct Measured {
 /// a traced-rep profile. `stream_gbs` anchors the %-of-achievable
 /// column of the trace (pass the reference machine's STREAM figure, or
 /// `None` to omit the roofline).
+///
+/// With `paired`, [`interleave`] also times the executor pair's side
+/// B — the same plan with the steady-state integrity guards (buffer
+/// canaries, per-block checksums) armed — and returns it second. The
+/// whole-run Parseval check stays off: it is a per-run verification
+/// like `--verify`, not an always-on guard, and its two full-array
+/// passes would swamp the per-block cost on small suite shapes.
 pub fn measure_plan(
     plan: &FftPlan,
     cfg: &MeasureConfig,
     stream_gbs: Option<f64>,
-) -> Result<Measured, CoreError> {
-    let total = plan.dims.total();
-    let input = signal::random_complex(total, cfg.seed);
-    let mut data = AlignedVec::from_slice(&input);
-    let mut work = AlignedVec::<Complex64>::zeroed(total);
-    let untraced = ExecConfig {
-        integrity: if cfg.integrity {
-            IntegrityConfig::full()
-        } else {
-            IntegrityConfig::default()
-        },
-        ..ExecConfig::default()
-    };
-
-    for _ in 0..cfg.warmup {
-        data.copy_from_slice(&input);
-        execute_with(plan, &mut data, &mut work, &untraced)?;
-    }
-
-    let mut times_ns = Vec::with_capacity(cfg.reps);
-    let mut executor = String::new();
-    for _ in 0..cfg.reps {
-        // The transform is in place, so each rep restores the input
-        // outside the timed region — input-for-input reproducible.
-        data.copy_from_slice(&input);
-        let t0 = Instant::now();
-        let report = execute_with(plan, &mut data, &mut work, &untraced)?;
-        times_ns.push(t0.elapsed().as_nanos() as f64);
-        executor = executor_label(&report.executor);
-    }
-
-    let (trace, traced_executor) = trace_once(plan, stream_gbs, cfg.seed)?;
-    if executor.is_empty() {
-        executor = traced_executor;
-    }
-    Ok(Measured {
-        times_ns,
-        trace,
-        executor,
-    })
-}
-
-/// Measures `plan` twice per timed iteration — one plain rep and one
-/// with the integrity guards armed — and returns both samples as
-/// `(plain, guarded)`. Interleaving at the rep level means slow
-/// machine drift (thermal throttling, background load) biases both
-/// samples equally, so the pair supports a much tighter overhead
-/// threshold than two back-to-back [`measure_plan`] runs, which on a
-/// shared machine drift apart by more than the guards cost.
-/// `cfg.integrity` is ignored: the guarded side always runs
-/// [`IntegrityConfig::full`], the plain side never does.
-pub fn measure_plan_paired(
-    plan: &FftPlan,
-    cfg: &MeasureConfig,
-    stream_gbs: Option<f64>,
-) -> Result<(Measured, Measured), CoreError> {
+    paired: bool,
+) -> Result<(Measured, Option<Measured>), CoreError> {
     let total = plan.dims.total();
     let input = signal::random_complex(total, cfg.seed);
     let mut data = AlignedVec::from_slice(&input);
@@ -132,50 +131,32 @@ pub fn measure_plan_paired(
         integrity: IntegrityConfig::full(),
         ..ExecConfig::default()
     };
-
-    for _ in 0..cfg.warmup {
-        data.copy_from_slice(&input);
-        execute_with(plan, &mut data, &mut work, &plain)?;
-        data.copy_from_slice(&input);
-        execute_with(plan, &mut data, &mut work, &guarded)?;
-    }
-
-    let mut plain_ns = Vec::with_capacity(cfg.reps);
-    let mut guarded_ns = Vec::with_capacity(cfg.reps);
     let mut executor = String::new();
-    for rep in 0..cfg.reps {
-        // Alternate which side goes first so neither sample
-        // systematically inherits the other's cache/scheduler state.
-        let order: [(&ExecConfig, &mut Vec<f64>); 2] = if rep.is_multiple_of(2) {
-            [(&plain, &mut plain_ns), (&guarded, &mut guarded_ns)]
-        } else {
-            [(&guarded, &mut guarded_ns), (&plain, &mut plain_ns)]
+    let (plain_ns, guarded_ns) = interleave(cfg.warmup, cfg.reps, paired, |side| {
+        let exec_cfg = match side {
+            Side::A => &plain,
+            Side::B => &guarded,
         };
-        for (exec_cfg, times) in order {
-            data.copy_from_slice(&input);
-            let t0 = Instant::now();
-            let report = execute_with(plan, &mut data, &mut work, exec_cfg)?;
-            times.push(t0.elapsed().as_nanos() as f64);
-            executor = executor_label(&report.executor);
-        }
-    }
+        // The transform is in place, so each rep restores the input
+        // outside the timed region — input-for-input reproducible.
+        data.copy_from_slice(&input);
+        let t0 = Instant::now();
+        let report = execute_with(plan, &mut data, &mut work, exec_cfg)?;
+        let ns = t0.elapsed().as_nanos() as f64;
+        executor = executor_label(&report.executor);
+        Ok::<_, CoreError>(ns)
+    })?;
 
     let (trace, traced_executor) = trace_once(plan, stream_gbs, cfg.seed)?;
     if executor.is_empty() {
         executor = traced_executor;
     }
-    Ok((
-        Measured {
-            times_ns: plain_ns,
-            trace: trace.clone(),
-            executor: executor.clone(),
-        },
-        Measured {
-            times_ns: guarded_ns,
-            trace,
-            executor,
-        },
-    ))
+    let side = |times_ns| Measured {
+        times_ns,
+        trace: trace.clone(),
+        executor: executor.clone(),
+    };
+    Ok((side(plain_ns), paired.then(|| side(guarded_ns))))
 }
 
 /// Runs `plan` once with tracing enabled and aggregates the spans into
@@ -212,22 +193,64 @@ mod tests {
     use bwfft_core::Dims;
 
     #[test]
+    fn interleave_alternates_order_and_fills_both_sides() {
+        let mut log = Vec::new();
+        let (a, b) = interleave::<usize, ()>(1, 4, true, |side| {
+            log.push(side);
+            Ok(log.len())
+        })
+        .unwrap();
+        use Side::{A, B};
+        // One warmup round, then four recorded rounds; the first side
+        // flips every round.
+        assert_eq!(log, [A, B, A, B, B, A, A, B, B, A]);
+        assert_eq!(a.len(), 4);
+        assert_eq!(b.len(), 4);
+        // Samples land on the side that produced them, in round order.
+        assert_eq!(a, [3, 6, 7, 10]);
+        assert_eq!(b, [4, 5, 8, 9]);
+    }
+
+    #[test]
+    fn unpaired_interleave_runs_side_a_only() {
+        let mut calls = 0;
+        let (a, b) = interleave::<(), ()>(2, 3, false, |side| {
+            assert_eq!(side, Side::A);
+            calls += 1;
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!((calls, a.len(), b.len()), (5, 3, 0));
+    }
+
+    #[test]
+    fn interleave_stops_at_the_first_error() {
+        let mut calls = 0;
+        let r = interleave(0, 5, true, |side| {
+            calls += 1;
+            if side == Side::B {
+                Err("b failed")
+            } else {
+                Ok(())
+            }
+        });
+        assert_eq!(r, Err("b failed"));
+        assert_eq!(calls, 2);
+    }
+
+    #[test]
     fn measure_produces_sample_and_trace() {
         let plan = FftPlan::builder(Dims::d2(16, 32))
             .threads(1, 1)
             .build()
             .unwrap();
-        let m = measure_plan(
-            &plan,
-            &MeasureConfig {
-                warmup: 1,
-                reps: 3,
-                seed: 7,
-                ..MeasureConfig::default()
-            },
-            Some(40.0),
-        )
-        .unwrap();
+        let cfg = MeasureConfig {
+            warmup: 1,
+            reps: 3,
+            seed: 7,
+        };
+        let (m, guarded) = measure_plan(&plan, &cfg, Some(40.0), false).unwrap();
+        assert!(guarded.is_none());
         assert_eq!(m.times_ns.len(), 3);
         assert!(m.times_ns.iter().all(|t| *t > 0.0));
         assert_eq!(m.trace.stages.len(), 2);
@@ -235,46 +258,21 @@ mod tests {
     }
 
     #[test]
-    fn integrity_armed_measurement_succeeds() {
-        // Guards on: the timed reps run with canaries + checksums +
-        // Parseval, and a clean plan must never trip them.
-        let plan = FftPlan::builder(Dims::d2(16, 32))
-            .threads(1, 1)
-            .build()
-            .unwrap();
-        let m = measure_plan(
-            &plan,
-            &MeasureConfig {
-                warmup: 1,
-                reps: 2,
-                seed: 7,
-                integrity: true,
-            },
-            None,
-        )
-        .unwrap();
-        assert_eq!(m.times_ns.len(), 2);
-    }
-
-    #[test]
     fn paired_measurement_yields_matched_samples() {
         // Both sides of the pair must carry one time per rep and agree
-        // on the executor — they timed the exact same plan.
+        // on the executor — they timed the exact same plan, and a clean
+        // plan never trips the guards on side B.
         let plan = FftPlan::builder(Dims::d2(16, 32))
             .threads(1, 1)
             .build()
             .unwrap();
-        let (plain, guarded) = measure_plan_paired(
-            &plan,
-            &MeasureConfig {
-                warmup: 1,
-                reps: 3,
-                seed: 7,
-                integrity: false,
-            },
-            None,
-        )
-        .unwrap();
+        let cfg = MeasureConfig {
+            warmup: 1,
+            reps: 3,
+            seed: 7,
+        };
+        let (plain, guarded) = measure_plan(&plan, &cfg, None, true).unwrap();
+        let guarded = guarded.unwrap();
         assert_eq!(plain.times_ns.len(), 3);
         assert_eq!(guarded.times_ns.len(), 3);
         assert!(plain.times_ns.iter().all(|t| *t > 0.0));

@@ -16,8 +16,9 @@
 //! sample), and the full outcome accounting from the drained
 //! [`ServeReport`].
 
+use crate::measure::{interleave, Side};
 use crate::record::{BenchReport, ServeMetrics, SuiteResult};
-use crate::stats::{self, StatsConfig};
+use crate::stats::{self, StatsConfig, StatsError};
 use crate::HarnessError;
 use bwfft_core::Dims;
 use bwfft_metrics::{FlightRecorder, Registry};
@@ -31,6 +32,8 @@ use std::time::{Duration, Instant};
 #[derive(Clone, Debug)]
 pub struct ServeBenchConfig {
     pub dims: Dims,
+    /// Buffer half size per request; 0 lets the planner derive it
+    /// from the shape, which is valid for every power-of-two shape.
     pub buffer_elems: usize,
     /// `(p_d, p_c)` per request.
     pub threads: (usize, usize),
@@ -56,7 +59,7 @@ impl Default for ServeBenchConfig {
     fn default() -> Self {
         ServeBenchConfig {
             dims: Dims::d2(16, 32),
-            buffer_elems: 128,
+            buffer_elems: 0,
             threads: (1, 1),
             requests: 32,
             arrival: Duration::ZERO,
@@ -179,27 +182,69 @@ pub fn run_open_loop(cfg: &ServeBenchConfig) -> Result<ServeBenchResult, ServeEr
 /// `bwfft-bench/1` record (suite kind `"serve"`), so the ordinary
 /// `compare` gate — median CI separation plus the p99 threshold —
 /// applies to service latency exactly as it does to executor time.
+///
+/// With `paired`, the case runs as the serve pair through
+/// [`interleave`]: side A bare, side B with a fresh metrics registry
+/// and flight recorder armed, on identical schedules. The result is
+/// `(A, B)`, and B is `None` when unpaired. Gating B against A is the
+/// instrumentation-overhead contract: the whole observability layer
+/// must cost less than the gate's percentage on the median service
+/// latency. A paired run spends one discarded round first; it absorbs
+/// one-time costs (plan search, allocator growth, page faults) that
+/// would otherwise be billed to whichever side runs first and swamp
+/// the small instrument cost the pair exists to measure.
 pub fn run_serve_suite(
     cfg: &ServeBenchConfig,
     stats_cfg: &StatsConfig,
-) -> Result<BenchReport, HarnessError> {
+    paired: bool,
+) -> Result<(BenchReport, Option<BenchReport>), HarnessError> {
     let key = format!("serve:{}:w{}", cfg.dims.label(), cfg.workers);
-    let run = run_open_loop(cfg).map_err(|error| HarnessError::Serve {
+    let (a, b) = interleave(usize::from(paired), 1, paired, |side| {
+        let side_cfg = match side {
+            Side::A if !paired => cfg.clone(),
+            Side::A => ServeBenchConfig {
+                metrics: None,
+                flight: None,
+                ..cfg.clone()
+            },
+            Side::B => ServeBenchConfig {
+                metrics: Some(Arc::new(Registry::new())),
+                flight: Some(FlightRecorder::new(16)),
+                ..cfg.clone()
+            },
+        };
+        run_open_loop(&side_cfg)
+    })
+    .map_err(|error| HarnessError::Serve {
         key: key.clone(),
         error,
     })?;
-    let summary =
-        stats::summarize(&run.latencies_ns, stats_cfg).map_err(|error| HarnessError::Stats {
-            key: key.clone(),
-            error,
-        })?;
+    let b = paired.then(|| serve_record(cfg, &key, b, stats_cfg)).transpose()?;
+    Ok((serve_record(cfg, &key, a, stats_cfg)?, b))
+}
+
+/// Folds one side's open-loop run into the record.
+fn serve_record(
+    cfg: &ServeBenchConfig,
+    key: &str,
+    runs: Vec<ServeBenchResult>,
+    stats_cfg: &StatsConfig,
+) -> Result<BenchReport, HarnessError> {
+    let stats_err = |error| HarnessError::Stats {
+        key: key.to_string(),
+        error,
+    };
+    let Some(run) = runs.into_iter().next() else {
+        return Err(stats_err(StatsError::EmptySample));
+    };
+    let summary = stats::summarize(&run.latencies_ns, stats_cfg).map_err(stats_err)?;
     let gflops = if summary.median_ns > 0.0 {
         bwfft_core::metrics::pseudo_flops(cfg.dims.total()) / summary.median_ns
     } else {
         0.0
     };
     let suite = SuiteResult {
-        key,
+        key: key.to_string(),
         label: cfg.dims.label(),
         executor: "serve".to_string(),
         p_d: cfg.threads.0,
@@ -223,36 +268,6 @@ pub fn run_serve_suite(
         stream_gbs: 0.0,
         suites: vec![suite],
     })
-}
-
-/// Runs the serve suite twice on identical schedules — metrics off,
-/// then metrics on (registry + flight recorder armed) — and returns
-/// `(off, on)`. Gating `on` against `off` with the ordinary compare
-/// threshold is the instrumentation-overhead contract: the whole
-/// observability layer must cost less than the gate's percentage on
-/// the median service latency.
-pub fn run_serve_suite_paired(
-    cfg: &ServeBenchConfig,
-    stats_cfg: &StatsConfig,
-) -> Result<(BenchReport, BenchReport), HarnessError> {
-    let off_cfg = ServeBenchConfig {
-        metrics: None,
-        flight: None,
-        ..cfg.clone()
-    };
-    // A discarded warmup pass absorbs one-time costs (plan search,
-    // allocator growth, page faults) that would otherwise be billed
-    // entirely to whichever half runs first and swamp the ~0.1%
-    // instrument cost this pair exists to measure.
-    let _ = run_serve_suite(&off_cfg, stats_cfg)?;
-    let off = run_serve_suite(&off_cfg, stats_cfg)?;
-    let on_cfg = ServeBenchConfig {
-        metrics: Some(Arc::new(Registry::new())),
-        flight: Some(FlightRecorder::new(16)),
-        ..cfg.clone()
-    };
-    let on = run_serve_suite(&on_cfg, stats_cfg)?;
-    Ok((off, on))
 }
 
 #[cfg(test)]
@@ -319,7 +334,8 @@ mod tests {
             requests: 8,
             ..ServeBenchConfig::default()
         };
-        let rep = run_serve_suite(&cfg, &StatsConfig::default()).unwrap();
+        let (rep, none) = run_serve_suite(&cfg, &StatsConfig::default(), false).unwrap();
+        assert!(none.is_none());
         assert_eq!(rep.suite_kind, "serve");
         assert_eq!(rep.suites.len(), 1);
         let m = rep.suites[0].serve.as_ref().unwrap();
@@ -329,5 +345,36 @@ mod tests {
         );
         let back = crate::record::from_json(&crate::record::to_json(&rep)).unwrap();
         assert_eq!(back, rep);
+    }
+
+    #[test]
+    fn paired_serve_suite_returns_both_sides_of_one_key() {
+        let cfg = ServeBenchConfig {
+            requests: 6,
+            ..ServeBenchConfig::default()
+        };
+        let (off, on) = run_serve_suite(&cfg, &StatsConfig::default(), true).unwrap();
+        let on = on.unwrap();
+        assert_eq!(off.suites[0].key, on.suites[0].key);
+        for rep in [&off, &on] {
+            let m = rep.suites[0].serve.as_ref().unwrap();
+            assert_eq!(m.submitted, 6);
+        }
+    }
+
+    #[test]
+    fn default_buffer_plans_every_pow2_shape() {
+        // The planner derives the buffer: no default config is refused
+        // by its own validator, whatever the shape.
+        for dims in [Dims::d2(16, 32), Dims::d2(64, 64), Dims::d3(16, 16, 32)] {
+            let cfg = ServeBenchConfig {
+                dims,
+                requests: 2,
+                workers: 1,
+                ..ServeBenchConfig::default()
+            };
+            let run = run_open_loop(&cfg).unwrap();
+            assert_eq!(run.metrics.completed, 2, "{}", dims.label());
+        }
     }
 }

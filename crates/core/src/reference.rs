@@ -9,14 +9,15 @@
 //! injected fault, the way a cold-standby implementation would not
 //! share the primary's failure modes).
 //!
-//! `bwfft-baselines` hosts an equivalent implementation for benchmark
-//! comparisons, but that crate depends on this one, so the escalation
-//! path needs its own copy here (the dependency arrow cannot be
-//! reversed).
+//! The row-column passes themselves ([`row_column_2d`],
+//! [`row_column_3d`], [`pencil_pass`]) take a scratch pencil from the
+//! caller, so `bwfft-baselines` runs the same loops for its benchmark
+//! comparisons with its own infallible scratch while this tier
+//! allocates through the fallible path.
 
 use crate::error::CoreError;
 use crate::plan::{Dims, FftPlan};
-use bwfft_kernels::Fft1d;
+use bwfft_kernels::{Direction, Fft1d};
 use bwfft_num::{try_vec_zeroed, Complex64};
 
 /// Transforms `data` in place per the plan's dims and direction using
@@ -24,9 +25,9 @@ use bwfft_num::{try_vec_zeroed, Complex64};
 /// fields (dims, direction) matter; buffer size, thread counts and
 /// executor choice are ignored.
 ///
-/// Scratch pencils go through the fallible allocation path, so even
-/// this tier reports OOM as a typed error rather than aborting — but
-/// its scratch is one pencil, orders of magnitude smaller than the
+/// The scratch pencil goes through the fallible allocation path, so
+/// even this tier reports OOM as a typed error rather than aborting —
+/// but its scratch is one pencil, orders of magnitude smaller than the
 /// buffers the other executors need.
 pub fn execute_reference(plan: &FftPlan, data: &mut [Complex64]) -> Result<(), CoreError> {
     let total = plan.dims.total();
@@ -38,80 +39,92 @@ pub fn execute_reference(plan: &FftPlan, data: &mut [Complex64]) -> Result<(), C
         });
     }
     match plan.dims {
-        Dims::Two { n, m } => reference_2d(data, n, m, plan)?,
-        Dims::Three { k, n, m } => reference_3d(data, k, n, m, plan)?,
+        Dims::Two { n, m } => {
+            let mut pencil = try_vec_zeroed::<Complex64>(n, "reference pencil")?;
+            row_column_2d(data, n, m, plan.dir, &mut pencil);
+        }
+        Dims::Three { k, n, m } => {
+            let mut pencil = try_vec_zeroed::<Complex64>(k.max(n), "reference pencil")?;
+            row_column_3d(data, k, n, m, plan.dir, &mut pencil);
+        }
     }
     Ok(())
 }
 
-fn reference_2d(
+/// Row-column 2D FFT of an `n × m` row-major array: contiguous rows,
+/// then stride-`m` columns gathered through `pencil`.
+///
+/// # Panics
+///
+/// If `data.len() != n·m` or `pencil` is shorter than `n`.
+pub fn row_column_2d(
     data: &mut [Complex64],
     n: usize,
     m: usize,
-    plan: &FftPlan,
-) -> Result<(), CoreError> {
-    let dir = plan.dir;
-    let mut row_fft = Fft1d::new(m, dir);
-    for row in data.chunks_exact_mut(m) {
-        row_fft.run(row);
-    }
-    let mut col_fft = Fft1d::new(n, dir);
-    let mut pencil = try_vec_zeroed::<Complex64>(n, "reference pencil")?;
-    for c in 0..m {
-        for r in 0..n {
-            pencil[r] = data[r * m + c];
-        }
-        col_fft.run(&mut pencil);
-        for r in 0..n {
-            data[r * m + c] = pencil[r];
-        }
-    }
-    Ok(())
+    dir: Direction,
+    pencil: &mut [Complex64],
+) {
+    assert_eq!(data.len(), n * m, "row_column_2d: data is not n*m");
+    pencil_pass(data, m, 1, dir, pencil);
+    pencil_pass(data, n, m, dir, pencil);
 }
 
-fn reference_3d(
+/// Row-column 3D FFT of a `k × n × m` row-major cube: contiguous
+/// x-pencils, stride-`m` y-pencils within each slab, stride-`n·m`
+/// z-pencils, the strided ones gathered through `pencil`.
+///
+/// # Panics
+///
+/// If `data.len() != k·n·m` or `pencil` is shorter than `max(k, n)`.
+pub fn row_column_3d(
     data: &mut [Complex64],
     k: usize,
     n: usize,
     m: usize,
-    plan: &FftPlan,
-) -> Result<(), CoreError> {
-    let dir = plan.dir;
-    // Stage 1: x-pencils (contiguous rows).
-    let mut x_fft = Fft1d::new(m, dir);
-    for row in data.chunks_exact_mut(m) {
-        x_fft.run(row);
+    dir: Direction,
+    pencil: &mut [Complex64],
+) {
+    assert_eq!(data.len(), k * n * m, "row_column_3d: data is not k*n*m");
+    pencil_pass(data, m, 1, dir, pencil);
+    pencil_pass(data, n, m, dir, pencil);
+    pencil_pass(data, k, n * m, dir, pencil);
+}
+
+/// One row-column pass: within every contiguous block of `len·stride`
+/// elements, transforms the `stride` pencils of length `len` whose
+/// elements sit `stride` apart. Stride 1 transforms contiguous rows in
+/// place; wider strides gather each pencil into `pencil[..len]`,
+/// transform it and scatter it back.
+///
+/// # Panics
+///
+/// If `pencil` is shorter than `len` on a strided pass.
+pub fn pencil_pass(
+    data: &mut [Complex64],
+    len: usize,
+    stride: usize,
+    dir: Direction,
+    pencil: &mut [Complex64],
+) {
+    let mut fft = Fft1d::new(len, dir);
+    if stride == 1 {
+        for row in data.chunks_exact_mut(len) {
+            fft.run(row);
+        }
+        return;
     }
-    // Stage 2: y-pencils (stride m within each slab).
-    let mut y_fft = Fft1d::new(n, dir);
-    let mut pencil = try_vec_zeroed::<Complex64>(n, "reference pencil")?;
-    for z in 0..k {
-        let slab = &mut data[z * n * m..(z + 1) * n * m];
-        for x in 0..m {
-            for y in 0..n {
-                pencil[y] = slab[y * m + x];
+    let pencil = &mut pencil[..len];
+    for block in data.chunks_exact_mut(len * stride) {
+        for x in 0..stride {
+            for (i, p) in pencil.iter_mut().enumerate() {
+                *p = block[i * stride + x];
             }
-            y_fft.run(&mut pencil);
-            for y in 0..n {
-                slab[y * m + x] = pencil[y];
+            fft.run(pencil);
+            for (i, p) in pencil.iter().enumerate() {
+                block[i * stride + x] = *p;
             }
         }
     }
-    // Stage 3: z-pencils (stride n·m).
-    let mut z_fft = Fft1d::new(k, dir);
-    let mut zpencil = try_vec_zeroed::<Complex64>(k, "reference pencil")?;
-    for y in 0..n {
-        for x in 0..m {
-            for z in 0..k {
-                zpencil[z] = data[z * n * m + y * m + x];
-            }
-            z_fft.run(&mut zpencil);
-            for z in 0..k {
-                data[z * n * m + y * m + x] = zpencil[z];
-            }
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]

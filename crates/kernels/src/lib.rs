@@ -29,7 +29,6 @@ pub mod radix4;
 pub mod realfft;
 pub mod reference;
 pub mod simd;
-pub mod splitradix;
 pub mod stockham;
 pub mod transpose;
 pub mod twiddle;

@@ -64,6 +64,20 @@ for s in rep["stages"]:
 print("profile smoke: OK")
 ' || { echo "profile smoke FAILED on:"; echo "$profile_json"; exit 1; }
 
+echo "== flag smoke (a flag the subcommand does not declare is exit 2) =="
+# Each subcommand accepts exactly the flags its table declares; before
+# per-subcommand tables these ran with the flag silently ignored.
+for bad in "run --dims 8x8 --ooc-kill" \
+           "ooc --n 4096 --inject-panic compute,0,0 --recover" \
+           "bench --suite serve --crash-at 0,0"; do
+  rc=0
+  # shellcheck disable=SC2086 # word splitting is the point
+  cargo run -q --bin bwfft-cli -- $bad > /dev/null 2>&1 || rc=$?
+  [ "$rc" -eq 2 ] \
+    || { echo "flag smoke FAILED: \`bwfft-cli $bad\` exited $rc, expected 2"; exit 1; }
+done
+echo "flag smoke: OK"
+
 echo "== bench smoke (BENCH json valid; derated gate trips) =="
 # A tiny run must produce a valid versioned bwfft-bench/1 record.
 cargo run -q --bin bwfft-cli -- bench --suite smoke --reps 2 --warmup 1 \
@@ -227,9 +241,10 @@ if ! cargo run -q --bin bwfft-cli -- bench \
   exit 1
 fi
 echo "integrity overhead gate (recorded pair): OK (< 3% median)"
-# Live half (full mode only): a fresh paired run — every timed
-# iteration alternates one plain and one guarded rep so machine drift
-# cancels out of the pair. Even paired, a single sub-ms shape on this
+# Live half (full mode only): a fresh paired run — `--baseline-out`
+# runs the executor suite's own pair, and every timed iteration
+# alternates one plain and one guarded rep so machine drift cancels
+# out of the pair. Even paired, a single sub-ms shape on this
 # 1-CPU VM can spike +25% from scheduler noise, so the live rule is
 # shaped for what it exists to catch — a *systematic* guard-cost
 # increase: fail on three or more CI-separated regressions beyond 3%
@@ -239,7 +254,7 @@ if [ "$fast" -eq 1 ]; then
   echo "integrity overhead gate (live): skipped (--fast; run the full gate locally)"
 else
   if ! cargo run -q --release --bin bwfft-cli -- bench --suite fast --reps 15 --warmup 3 \
-       --integrity --baseline-out "$benchdir/BENCH_plain.json" \
+       --baseline-out "$benchdir/BENCH_plain.json" \
        --out "$benchdir/BENCH_guarded.json" \
        --threshold 40 > "$benchdir/integrity.out" 2>&1; then
     echo "integrity overhead gate FAILED: a guarded shape regressed beyond 40%:"
@@ -314,7 +329,8 @@ if ! cargo run -q --bin bwfft-cli -- bench \
   exit 1
 fi
 echo "metrics overhead gate (recorded pair): OK (< 2% median)"
-# Live half (full mode only): a fresh paired run. Open-loop medians on
+# Live half (full mode only): a fresh paired run (`--baseline-out` on
+# the serve suite runs its metrics-off/metrics-on pair). Open-loop medians on
 # a shared VM jitter a few percent either way, so the live rule only
 # catches a *catastrophic* instrument-cost change (>25% median, the
 # built-in pair gate is median-only); the committed pair above carries
@@ -324,7 +340,7 @@ if [ "$fast" -eq 1 ]; then
 else
   if ! cargo run -q --release --bin bwfft-cli -- bench --suite serve \
        --dims 64x64 --buffer 512 --requests 96 --workers 2 --queue-depth 16 \
-       --arrival-us 2500 --seed 42 --metrics-overhead --threshold 25 \
+       --arrival-us 2500 --seed 42 --threshold 25 \
        --baseline-out "$benchdir/BENCH_metrics_off.json" \
        --out "$benchdir/BENCH_metrics_on.json" > "$benchdir/metrics_live.out" 2>&1; then
     echo "metrics overhead gate FAILED: live paired run beyond 25% median:"

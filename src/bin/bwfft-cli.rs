@@ -1,35 +1,13 @@
 //! `bwfft-cli` — run and simulate bandwidth-efficient FFTs from the
 //! command line.
 //!
-//! ```text
-//! bwfft-cli machines
-//! bwfft-cli run --dims 64x64x64 --threads 2,2 [--buffer 16384] [--inverse] [--verify]
-//!               [--adapt] [--integrity] [--recover] [--inject-panic ROLE,T,I]
-//!               [--timeout-ms N] [--seed S] [--profile[=json]] [--machine NAME]
-//! bwfft-cli simulate --dims 512x512x512 --machine kabylake [--sockets 2] [--baselines]
-//! bwfft-cli stream --machine haswell2667
-//! bwfft-cli tune --dims 64x64 [--inverse] [--model-only] [--plan-stats] [--wisdom PATH]
-//!               [--profile[=json]]
-//! bwfft-cli bench [--suite smoke|fast|full] [--reps N] [--warmup N] [--seed S]
-//!                 [--machine NAME] [--out PATH] [--derate F]
-//!                 [--integrity [--baseline-out PATH]]
-//!                 [--compare BASELINE [--current PATH]] [--threshold PCT]
-//! bwfft-cli soak [--iters N] [--seed S] [--stall-ms N] [--serve [--serve-iters N]]
-//!                [--ooc-kill [--ooc-dir PATH]]
-//! bwfft-cli serve --requests N [--dims KxNxM] [--buffer B] [--threads D,C]
-//!                 [--workers W] [--queue-depth Q] [--byte-budget BYTES]
-//!                 [--deadline-ms N] [--arrival-us N] [--seed S]
-//! bwfft-cli ooc --n N [--budget BYTES] [--bins K] [--seed S] [--inverse]
-//!               [--threads D,C] [--inject-io-fault KIND,STAGE,ITER]
-//!               [--workspace PATH [--resume] [--keep-workspace]
-//!                [--resume-verify sample:K|all] [--crash-at STAGE,BLOCK]]
-//! bwfft-cli workspace gc --dir PATH [--older-than-secs N]
-//! bwfft-cli r2c --dims KxNxM [--threads D,C] [--buffer B] [--seed S] [--verify]
-//!               [--integrity] [--recover] [--inject-panic ROLE,T,I] [--timeout-ms N]
-//! bwfft-cli conv --dims KxNxM [--threads D,C] [--buffer B] [--seed S] [--impulse]
-//!                [--verify] [--integrity] [--recover] [--inject-panic ROLE,T,I]
-//!                [--timeout-ms N]
-//! ```
+//! Every subcommand declares its flags once, in [`COMMANDS`]: name,
+//! whether the flag takes a value, and a one-line help. Groups that
+//! several subcommands share (the plan knobs, the execution knobs,
+//! `--seed`, the serve load profile) are declared once and referenced.
+//! The parser accepts exactly the declared flags of the subcommand it
+//! parses for — anything else is a usage error (exit 2) — and the
+//! usage text is generated from the same tables.
 //!
 //! `--profile` traces the run and prints the per-stage roofline/overlap
 //! summary; `--profile=json` emits the versioned JSON trace report as
@@ -45,15 +23,16 @@
 //! the exit code nonzero (this is what `scripts/perf_gate.sh` wires
 //! into CI). `--current PATH` compares two existing files without
 //! running anything; `--derate F` pretends the run was `F`× slower — a
-//! self-test proving the gate trips. `--integrity` arms the
-//! steady-state guards (canaries + checksums) in the timed reps;
-//! adding `--baseline-out PATH` switches to *paired* measurement —
-//! every timed iteration runs one plain and one guarded rep, so slow
-//! machine drift cancels out of the pair. The plain record goes to
-//! PATH, the guarded one to `--out`, and the two are gated against
-//! each other automatically (unless an explicit `--compare` overrides
-//! the baseline). This is how the integrity-overhead budget in
-//! `scripts/verify.sh` is enforced.
+//! self-test proving the gate trips. `--baseline-out PATH` switches to
+//! *paired* measurement of the suite's own A/B pair: plain vs
+//! integrity-guarded reps for the executor suites, metrics-off vs
+//! metrics-on runs for `--suite serve`. The two sides are interleaved
+//! rep by rep, so slow machine drift cancels out of the pair. Side A
+//! goes to PATH, side B to `--out`, and B is gated against A
+//! automatically (unless an explicit `--compare` overrides the
+//! baseline; the serve pair gates medians only). This is how the
+//! integrity- and metrics-overhead budgets in `scripts/verify.sh` are
+//! enforced.
 //!
 //! `run --integrity` arms every integrity guard (buffer canaries,
 //! per-block checksums, the whole-run Parseval check); `run --recover`
@@ -100,10 +79,8 @@
 //! c2r`) against a random kernel or — with `--impulse` — the unit
 //! impulse, whose convolution must reproduce the input exactly;
 //! `--verify` compares against the unfused reference pipeline and, on
-//! small sizes, the direct O(n²) oracle. Both take the same
-//! fault-tolerance flags as `run` (`--integrity`, `--recover`,
-//! `--inject-panic`, `--timeout-ms`) and follow the §6 exit-code
-//! discipline.
+//! small sizes, the direct O(n²) oracle. Both take the same plan and
+//! execution groups as `run` and follow the §6 exit-code discipline.
 //!
 //! `serve` drives the overload-safe concurrent service
 //! (`bwfft-serve`) with an open-loop request schedule and prints the
@@ -122,11 +99,7 @@
 //! (breaker degradations, integrity trips, panics) are printed before
 //! the final snapshot. `stat --from A.json --to B.json` diffs two
 //! snapshot transcripts into per-second rates and interval
-//! percentiles. `bench --suite serve --metrics-overhead --baseline-out
-//! PATH` measures the paired metrics-off/metrics-on runs and gates the
-//! instrumentation overhead with the ordinary compare threshold — this
-//! is how the `< 2%` budget in `scripts/verify.sh` and the CI
-//! `metrics-overhead` job is enforced.
+//! percentiles.
 //!
 //! ## Exit-code discipline
 //!
@@ -136,30 +109,29 @@
 //! | 0 | serve drained | graceful drain: every submission got exactly one typed outcome; shed requests (`queue_full`, `byte_budget`, `pool_exhausted`, `breaker_open`, `shutting_down`) and `deadline-exceeded` outcomes are counted and reported, not faults |
 //! | 1 | runtime fault | `WorkerPanicked`, `StageTimeout`, `Simulation`, `Integrity`, `Allocation`, failed verification, perf regression, soak contract violation, non-usage `Tuner`, every typed `ooc` failure (infeasible size/budget, exhausted stage ladder, oracle or Parseval mismatch, journal clobber/corruption, resume plan or fingerprint mismatch, scratch corruption) |
 //! | 1 | serve fault | `Failed` request outcomes, drain accounting that does not balance, serve-soak contract violation |
-//! | 2 | usage | `Plan`, `Config`, `InputLength`, `SocketMismatch`, bad-wisdom `Tuner`, bad flags, serve `InvalidRequest`/`InputLength` (malformed descriptors are the caller's fault, never load shedding) |
+//! | 2 | usage | `Plan`, `Config`, `InputLength`, `SocketMismatch`, bad-wisdom `Tuner`, malformed or undeclared flags, serve `InvalidRequest`/`InputLength` (malformed descriptors are the caller's fault, never load shedding) |
 //!
 //! The mapping is `BwfftError::is_usage()` / `ServeError::is_usage()`;
 //! `exit_code_discipline` and `serve_exit_code_discipline` in the test
 //! module assert it variant by variant. User errors print a one-line
 //! typed message, never a backtrace.
 
+
 use bwfft::baselines::{reference_impl, simulate_baseline, BaselineKind};
 use bwfft::bench::compare::{compare, derate, verdict_json, GateConfig};
 use bwfft::bench::measure::MeasureConfig;
 use bwfft::bench::record::{bench_filename, read_file, write_file, BenchReport};
-use bwfft::bench::serve_bench::{
-    run_open_loop, run_serve_suite, run_serve_suite_paired, ServeBenchConfig,
-};
+use bwfft::bench::run_suite;
+use bwfft::bench::serve_bench::{run_open_loop, run_serve_suite, ServeBenchConfig};
 use bwfft::bench::stats::StatsConfig;
 use bwfft::bench::suite::SuiteKind;
-use bwfft::bench::{run_suite, run_suite_paired};
 use bwfft::core::exec_sim::{simulate, SimOptions};
-use bwfft::core::{exec_real, Dims, FftPlan, RetryPolicy, Supervisor};
+use bwfft::core::{exec_real, Dims, ExecConfig, FftPlan, RetryPolicy, Supervisor};
 use bwfft::kernels::Direction;
 use bwfft::machine::stream::stream_triad;
 use bwfft::machine::{presets, MachineSpec};
 use bwfft::metrics::{FlightRecorder, MetricsSnapshot, Registry};
-use bwfft::num::compare::rel_l2_error;
+use bwfft::num::compare::{max_abs_error, rel_l2_error};
 use bwfft::num::{signal, AlignedVec, Complex64};
 use bwfft::ooc::{
     gc_stale, run_checkpointed, CheckpointRun, CrashMode, CrashPoint, OocConfig, OocFault,
@@ -177,7 +149,9 @@ use bwfft::BwfftError;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// CLI failure, split by whose fault it is: usage errors (exit 2,
 /// usage text shown) vs runtime faults (exit 1, typed message only).
@@ -213,13 +187,26 @@ fn usage(msg: impl Into<String>) -> CliError {
     CliError::Usage(msg.into())
 }
 
+/// Maps any typed library error that converts into [`BwfftError`] into
+/// the CLI error discipline.
+fn typed<E: Into<BwfftError>>(e: E) -> CliError {
+    CliError::from(e.into())
+}
+
+fn runtime(e: impl std::fmt::Display) -> CliError {
+    CliError::Runtime(e.to_string())
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(CliError::Usage(msg)) => {
             eprintln!("error: {msg}");
-            eprintln!("{USAGE}");
+            match find_command(&args) {
+                Some((cmd, _)) => eprintln!("{}", command_usage(cmd)),
+                None => eprintln!("{}", overview()),
+            }
             ExitCode::from(2)
         }
         Err(CliError::Runtime(msg)) => {
@@ -229,101 +216,471 @@ fn main() -> ExitCode {
     }
 }
 
-const USAGE: &str = "\
-usage:
-  bwfft-cli machines
-  bwfft-cli run --dims KxNxM [--threads D,C] [--buffer B] [--inverse] [--verify]
-                [--adapt] [--integrity] [--recover] [--inject-panic ROLE,T,I]
-                [--timeout-ms N] [--profile[=json]] [--machine NAME]
-  bwfft-cli simulate --dims KxNxM --machine NAME [--sockets S] [--baselines]
-  bwfft-cli stream --machine NAME
-  bwfft-cli tune --dims KxNxM [--inverse] [--model-only] [--plan-stats] [--wisdom PATH]
-                [--profile[=json]]
-  bwfft-cli bench [--suite smoke|fast|full|serve] [--reps N] [--warmup N] [--seed S]
-                  [--machine NAME] [--out PATH] [--derate F]
-                  [--integrity [--baseline-out PATH]]
-                  [--compare BASELINE [--current PATH]] [--threshold PCT]
-                  [--requests N] [--workers W] [--arrival-us N]
-                  [--metrics-overhead --baseline-out PATH]
-  bwfft-cli soak [--iters N] [--seed S] [--stall-ms N] [--serve [--serve-iters N]]
-                 [--ooc-kill [--ooc-dir PATH]]
-  bwfft-cli serve --requests N [--dims KxNxM] [--buffer B] [--threads D,C]
-                  [--workers W] [--queue-depth Q] [--byte-budget BYTES]
-                  [--deadline-ms N] [--arrival-us N] [--seed S]
-                  [--metrics[=json|prom]] [--metrics-every-ms N]
-  bwfft-cli stat --from A.json --to B.json
-  bwfft-cli ooc --n N [--budget BYTES] [--bins K] [--seed S] [--inverse]
-                [--threads D,C] [--inject-io-fault KIND,STAGE,ITER]
-                [--workspace PATH [--resume] [--keep-workspace]
-                 [--resume-verify sample:K|all] [--crash-at STAGE,BLOCK]]
-  bwfft-cli workspace gc --dir PATH [--older-than-secs N]
-  bwfft-cli r2c --dims KxNxM [--threads D,C] [--buffer B] [--seed S] [--verify]
-                [--integrity] [--recover] [--inject-panic ROLE,T,I] [--timeout-ms N]
-  bwfft-cli conv --dims KxNxM [--threads D,C] [--buffer B] [--seed S] [--impulse]
-                 [--verify] [--integrity] [--recover] [--inject-panic ROLE,T,I]
-                 [--timeout-ms N]
-machines: kabylake | haswell4770 | amdfx | haswell2667 | opteron6276";
+/// How a flag takes its value.
+#[derive(Clone, Copy, Debug)]
+enum Arg {
+    /// A bare switch: `--verify`.
+    Switch,
+    /// A value in the next word: `--dims KxNxM` (the metavariable).
+    Value(&'static str),
+    /// A bare switch or a glued `=VALUE`: `--profile[=json]` (the
+    /// choices). A separate-word value would be ambiguous with the
+    /// next flag.
+    Glued(&'static str),
+}
+
+/// One declared flag: its name without `--`, how it takes a value, and
+/// a one-line help.
+#[derive(Debug)]
+struct Flag {
+    name: &'static str,
+    arg: Arg,
+    help: &'static str,
+}
+
+const fn switch(name: &'static str, help: &'static str) -> Flag {
+    Flag {
+        name,
+        arg: Arg::Switch,
+        help,
+    }
+}
+
+const fn value(name: &'static str, meta: &'static str, help: &'static str) -> Flag {
+    Flag {
+        name,
+        arg: Arg::Value(meta),
+        help,
+    }
+}
+
+const fn glued(name: &'static str, choices: &'static str, help: &'static str) -> Flag {
+    Flag {
+        name,
+        arg: Arg::Glued(choices),
+        help,
+    }
+}
+
+const DIMS: Flag = value("dims", "KxNxM", "transform shape, NxM or KxNxM (required)");
+const VERIFY: Flag = switch("verify", "check the result against the reference tier");
+const PROFILE: Flag = glued("profile", "json", "print the per-stage trace report");
+
+/// Plan group, shared by `run`, `r2c` and `conv`. `--inverse` is
+/// declared apart: the real-input commands have no direction.
+const PLAN: &[Flag] = &[
+    DIMS,
+    value("threads", "D,C", "data and compute threads (default 2,2)"),
+    value("buffer", "B", "buffer half size in elements (default: planner's)"),
+    switch("adapt", "degrade to what this host supports instead of failing"),
+];
+const INVERSE: &[Flag] = &[switch("inverse", "inverse (unnormalized) transform")];
+/// Execution group, shared by `run`, `r2c` and `conv`.
+const EXEC: &[Flag] = &[
+    switch("integrity", "arm every integrity guard (canaries, checksums, Parseval)"),
+    switch("recover", "run under the retry/escalation supervisor"),
+    value("inject-panic", "ROLE,T,I", "panic thread T of ROLE (data|compute) at block I"),
+    value("timeout-ms", "N", "stall budget per iteration (default: adaptive watchdog)"),
+];
+const SEED: &[Flag] = &[value("seed", "S", "input seed (default 42)")];
+/// Open-loop load profile, shared by `serve` and `bench --suite serve`.
+const SERVE_LOAD: &[Flag] = &[
+    value("dims", "KxNxM", "request shape (default 16x32)"),
+    value("buffer", "B", "buffer half size per request (default: planner's)"),
+    value("threads", "D,C", "data and compute threads per request (default 1,1)"),
+    value("requests", "N", "submissions (default 32)"),
+    value("workers", "W", "server workers (default 2)"),
+    value("queue-depth", "Q", "admission queue capacity (default 16)"),
+    value("byte-budget", "BYTES", "admission byte budget"),
+    value("deadline-ms", "N", "per-request deadline"),
+    value("arrival-us", "N", "inter-arrival gap (default 0: one burst)"),
+];
+/// Executor-suite knobs of `bench`; the serve suite rejects them.
+const BENCH_EXECUTOR: &[Flag] = &[
+    value("reps", "N", "timed repetitions per case (default 5)"),
+    value("warmup", "N", "untimed repetitions per case (default 2)"),
+    value("machine", "NAME", "preset anchoring the STREAM roofline (default kabylake)"),
+];
+
+/// One subcommand: its name (with a positional subaction, if any), a
+/// one-line summary, its flag groups, and its handler.
+struct Command {
+    name: &'static str,
+    about: &'static str,
+    flags: &'static [&'static [Flag]],
+    handler: fn(&Opts) -> Result<(), CliError>,
+}
+
+impl Command {
+    fn flags(&self) -> impl Iterator<Item = &'static Flag> {
+        self.flags.iter().flat_map(|group| group.iter())
+    }
+
+    fn flag(&self, name: &str) -> Option<&'static Flag> {
+        self.flags().find(|f| f.name == name)
+    }
+}
+
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "machines",
+        about: "list the machine presets",
+        flags: &[],
+        handler: cmd_machines,
+    },
+    Command {
+        name: "run",
+        about: "plan, run and time a complex FFT on this host",
+        flags: &[
+            PLAN,
+            INVERSE,
+            EXEC,
+            SEED,
+            &[
+                VERIFY,
+                PROFILE,
+                value("machine", "NAME", "preset anchoring the profile roofline"),
+            ],
+        ],
+        handler: cmd_run,
+    },
+    Command {
+        name: "simulate",
+        about: "simulate a plan on a machine preset",
+        flags: &[&[
+            DIMS,
+            value("machine", "NAME", "preset to simulate (required)"),
+            value("sockets", "S", "sockets to use (default: all of the preset's)"),
+            switch("baselines", "also simulate the MKL-like, FFTW-like and slab baselines"),
+        ]],
+        handler: cmd_simulate,
+    },
+    Command {
+        name: "stream",
+        about: "run the modeled STREAM triad on a machine preset",
+        flags: &[&[value("machine", "NAME", "preset to measure (required)")]],
+        handler: cmd_stream,
+    },
+    Command {
+        name: "tune",
+        about: "search the best plan for a shape, with plan cache and wisdom",
+        flags: &[
+            &[DIMS],
+            INVERSE,
+            &[
+                switch("model-only", "rank candidates by the model, no timed trials"),
+                switch("plan-stats", "print plan-cache hits, misses and evictions"),
+                value("wisdom", "PATH", "load tuned plans from PATH, save them back"),
+                PROFILE,
+            ],
+        ],
+        handler: cmd_tune,
+    },
+    Command {
+        name: "bench",
+        about: "run the statistical bench suite, write BENCH json, gate it",
+        flags: &[
+            &[
+                value("suite", "smoke|fast|full|serve", "suite to run (default smoke)"),
+                value("out", "PATH", "record path (default BENCH_<gitrev>.json)"),
+                value("baseline-out", "PATH", "run the suite's A/B pair; side A goes to PATH"),
+                value("compare", "BASELINE", "gate the record against BASELINE"),
+                value("current", "PATH", "with --compare: gate PATH, run nothing"),
+                value("threshold", "PCT", "regression threshold in percent"),
+                value("derate", "F", "pretend the run was F times slower (gate self-test)"),
+            ],
+            SEED,
+            BENCH_EXECUTOR,
+            SERVE_LOAD,
+        ],
+        handler: cmd_bench,
+    },
+    Command {
+        name: "soak",
+        about: "seeded chaos harness: never wrong, never a panic",
+        flags: &[&[
+            value("iters", "N", "iterations (default 200)"),
+            value("seed", "S", "harness seed"),
+            value("stall-ms", "N", "injected stall length"),
+            switch("serve", "also run the concurrent serve overload matrix"),
+            value("serve-iters", "N", "serve lifecycles"),
+            switch("ooc-kill", "also run the out-of-core kill/restart drill"),
+            value("ooc-dir", "PATH", "parent directory of the drill's workspaces"),
+        ]],
+        handler: cmd_soak,
+    },
+    Command {
+        name: "serve",
+        about: "open-loop request schedule against the concurrent service",
+        flags: &[
+            SERVE_LOAD,
+            SEED,
+            &[
+                glued("metrics", "json|prom", "emit live metrics (default Prometheus text)"),
+                value("metrics-every-ms", "N", "also emit a snapshot every N ms"),
+            ],
+        ],
+        handler: cmd_serve,
+    },
+    Command {
+        name: "stat",
+        about: "diff two bwfft-metrics/1 snapshots into rates and percentiles",
+        flags: &[&[
+            value("from", "A.json", "earlier snapshot or transcript (required)"),
+            value("to", "B.json", "later snapshot or transcript (required)"),
+        ]],
+        handler: cmd_stat,
+    },
+    Command {
+        name: "ooc",
+        about: "out-of-core 1D FFT through file-backed stores",
+        flags: &[
+            &[value("n", "N", "transform length (required)")],
+            SEED,
+            INVERSE,
+            &[
+                value("budget", "BYTES", "working memory budget"),
+                value("bins", "K", "spot-check oracle bins"),
+                value("threads", "D,C", "data and compute threads"),
+                value("inject-io-fault", "KIND,STAGE,ITER", "one-shot read|write fault"),
+                value("workspace", "PATH", "crash-safe run in PATH with a checkpoint journal"),
+                switch("resume", "continue the journaled run in --workspace"),
+                switch("keep-workspace", "keep --workspace after success"),
+                value("resume-verify", "sample:K|all", "re-verification of journaled blocks"),
+                value("crash-at", "STAGE,BLOCK", "abort after BLOCK of STAGE commits (drills)"),
+            ],
+        ],
+        handler: cmd_ooc,
+    },
+    Command {
+        name: "workspace gc",
+        about: "sweep abandoned unnamed ooc scratch directories",
+        flags: &[&[
+            value("dir", "PATH", "directory to sweep (required)"),
+            value("older-than-secs", "N", "age threshold (default 86400)"),
+        ]],
+        handler: cmd_workspace_gc,
+    },
+    Command {
+        name: "r2c",
+        about: "real-input transform through the packed half-spectrum path",
+        flags: &[PLAN, EXEC, SEED, &[VERIFY]],
+        handler: cmd_r2c,
+    },
+    Command {
+        name: "conv",
+        about: "fused spectral convolution of real fields",
+        flags: &[
+            PLAN,
+            EXEC,
+            SEED,
+            &[VERIFY, switch("impulse", "convolve with the unit impulse (identity)")],
+        ],
+        handler: cmd_conv,
+    },
+];
+
+/// The command `args` names (its words consumed) and the rest of `args`.
+fn find_command(args: &[String]) -> Option<(&'static Command, &[String])> {
+    COMMANDS.iter().find_map(|cmd| {
+        let mut rest = args;
+        for word in cmd.name.split(' ') {
+            let (first, tail) = rest.split_first()?;
+            if first != word {
+                return None;
+            }
+            rest = tail;
+        }
+        Some((cmd, rest))
+    })
+}
+
+/// `--name META` as the usage text shows it.
+fn flag_token(f: &Flag) -> String {
+    match f.arg {
+        Arg::Switch => format!("--{}", f.name),
+        Arg::Value(meta) => format!("--{} {meta}", f.name),
+        Arg::Glued(choices) => format!("--{}[={choices}]", f.name),
+    }
+}
+
+/// `bwfft-cli NAME [--flag ...]`, wrapped under the command name.
+fn synopsis(cmd: &Command) -> String {
+    let head = format!("  bwfft-cli {}", cmd.name);
+    let indent = " ".repeat(head.len() + 1);
+    let mut out = head.clone();
+    let mut col = head.len();
+    for f in cmd.flags() {
+        let tok = format!("[{}]", flag_token(f));
+        if col + 1 + tok.len() > 88 {
+            out.push('\n');
+            out.push_str(&indent);
+            col = indent.len();
+        } else {
+            out.push(' ');
+            col += 1;
+        }
+        out.push_str(&tok);
+        col += tok.len();
+    }
+    out
+}
+
+/// Usage of one subcommand: synopsis, summary, one line per flag.
+fn command_usage(cmd: &Command) -> String {
+    let mut out = format!("usage:\n{}\n\n{}\n", synopsis(cmd), cmd.about);
+    for f in cmd.flags() {
+        out.push_str(&format!("  {:<30} {}\n", flag_token(f), f.help));
+    }
+    out
+}
+
+/// Usage of every subcommand, shown when no command could be told.
+fn overview() -> String {
+    let mut out = String::from("usage:\n");
+    for cmd in COMMANDS {
+        out.push_str(&synopsis(cmd));
+        out.push('\n');
+    }
+    out.push_str("machines: kabylake | haswell4770 | amdfx | haswell2667 | opteron6276");
+    out
+}
 
 fn run(args: &[String]) -> Result<(), CliError> {
-    let Some(cmd) = args.first() else {
+    let Some(first) = args.first() else {
         return Err(usage("missing command"));
     };
-    // `workspace` takes a positional subaction before its flags.
-    if cmd == "workspace" {
-        return match args.get(1).map(String::as_str) {
-            Some("gc") => {
-                let opts = parse_flags(&args[2..]).map_err(usage)?;
-                cmd_workspace_gc(&opts)
-            }
-            _ => Err(usage(
-                "workspace takes the `gc` subaction: workspace gc --dir PATH [--older-than-secs N]",
-            )),
+    let Some((cmd, rest)) = find_command(args) else {
+        return Err(usage(format!("unknown command `{first}`")));
+    };
+    let opts = parse_flags(cmd, rest).map_err(usage)?;
+    (cmd.handler)(&opts)
+}
+
+/// The flags one subcommand was given. Handlers read only what their
+/// table declares; debug builds assert it, so a table and its handler
+/// cannot drift apart unnoticed.
+struct Opts {
+    cmd: &'static Command,
+    values: HashMap<&'static str, String>,
+}
+
+impl Opts {
+    fn get(&self, name: &str) -> Option<&str> {
+        debug_assert!(
+            self.cmd.flag(name).is_some(),
+            "`{}` reads undeclared flag --{name}",
+            self.cmd.name
+        );
+        self.values.get(name).map(String::as_str)
+    }
+
+    fn has(&self, name: &str) -> bool {
+        self.get(name).is_some()
+    }
+
+    fn required(&self, name: &str) -> Result<&str, CliError> {
+        self.get(name).ok_or_else(|| usage(format!("--{name} required")))
+    }
+
+    fn parse<T: FromStr>(&self, name: &str) -> Result<Option<T>, CliError> {
+        self.get(name)
+            .map(|v| v.parse().map_err(|_| usage(format!("bad --{name} `{v}`"))))
+            .transpose()
+    }
+
+    /// [`Opts::parse`] for counts that must be at least 1.
+    fn count(&self, name: &str) -> Result<Option<usize>, CliError> {
+        match self.parse(name)? {
+            Some(0) => Err(usage(format!("--{name} must be at least 1"))),
+            n => Ok(n),
+        }
+    }
+
+    fn millis(&self, name: &str) -> Result<Option<Duration>, CliError> {
+        Ok(self.parse(name)?.map(Duration::from_millis))
+    }
+
+    fn threads(&self) -> Result<Option<(usize, usize)>, CliError> {
+        self.get("threads").map(parse_pair).transpose().map_err(usage)
+    }
+
+    fn direction(&self) -> Direction {
+        if self.has("inverse") {
+            Direction::Inverse
+        } else {
+            Direction::Forward
+        }
+    }
+
+    fn seed(&self) -> Result<u64, CliError> {
+        Ok(self.parse("seed")?.unwrap_or(42))
+    }
+
+    fn machine(&self) -> Result<Option<MachineSpec>, CliError> {
+        self.get("machine").map(machine_by_name).transpose().map_err(usage)
+    }
+}
+
+/// Parses `args` against `cmd`'s flag table. Any flag the table does
+/// not declare is an error, as is `=VALUE` on a flag that is not glued.
+fn parse_flags(cmd: &'static Command, args: &[String]) -> Result<Opts, String> {
+    let mut values = HashMap::new();
+    let mut rest = args.iter();
+    while let Some(a) = rest.next() {
+        let Some(word) = a.strip_prefix("--") else {
+            return Err(format!("unexpected argument `{a}`"));
         };
+        let (name, glued_value) = match word.split_once('=') {
+            Some((name, v)) => (name, Some(v)),
+            None => (word, None),
+        };
+        let flag = cmd
+            .flag(name)
+            .ok_or_else(|| format!("`{}` takes no flag --{name}", cmd.name))?;
+        let v = match (flag.arg, glued_value) {
+            (Arg::Glued(_), v) => v.unwrap_or("").to_string(),
+            (_, Some(_)) => return Err(format!("--{name} does not take `=VALUE`")),
+            (Arg::Switch, None) => String::new(),
+            (Arg::Value(_), None) => rest
+                .next()
+                .ok_or_else(|| format!("--{name} needs a value"))?
+                .clone(),
+        };
+        values.insert(flag.name, v);
     }
-    let opts = parse_flags(&args[1..]).map_err(usage)?;
-    match cmd.as_str() {
-        "machines" => {
-            for spec in presets::all() {
-                println!(
-                    "{:<36} {} sockets, {} threads, {} MB LLC, {} GB/s STREAM",
-                    spec.name,
-                    spec.sockets,
-                    spec.total_threads(),
-                    spec.llc().size_bytes >> 20,
-                    spec.total_dram_bw_gbs()
-                );
-            }
-            Ok(())
-        }
-        "run" => cmd_run(&opts),
-        "simulate" => cmd_simulate(&opts),
-        "tune" => cmd_tune(&opts),
-        "bench" => cmd_bench(&opts),
-        "soak" => cmd_soak(&opts),
-        "serve" => cmd_serve(&opts),
-        "stat" => cmd_stat(&opts),
-        "ooc" => cmd_ooc(&opts),
-        "r2c" => cmd_r2c(&opts),
-        "conv" => cmd_conv(&opts),
-        "stream" => {
-            let spec = machine_by_name(opts.get("machine").ok_or_else(|| usage("--machine required"))?)
-                .map_err(usage)?;
-            let r = stream_triad(&spec, 1 << 24);
-            println!(
-                "{}: triad {:.1} GB/s ({:.1} per socket)",
-                spec.name, r.triad_gbs, r.per_socket_gbs
-            );
-            Ok(())
-        }
-        other => Err(usage(format!("unknown command `{other}`"))),
+    Ok(Opts { cmd, values })
+}
+
+fn cmd_machines(_: &Opts) -> Result<(), CliError> {
+    for spec in presets::all() {
+        println!(
+            "{:<36} {} sockets, {} threads, {} MB LLC, {} GB/s STREAM",
+            spec.name,
+            spec.sockets,
+            spec.total_threads(),
+            spec.llc().size_bytes >> 20,
+            spec.total_dram_bw_gbs()
+        );
     }
+    Ok(())
+}
+
+fn cmd_stream(opts: &Opts) -> Result<(), CliError> {
+    let spec = machine_by_name(opts.required("machine")?).map_err(usage)?;
+    let r = stream_triad(&spec, 1 << 24);
+    println!(
+        "{}: triad {:.1} GB/s ({:.1} per socket)",
+        spec.name, r.triad_gbs, r.per_socket_gbs
+    );
+    Ok(())
 }
 
 /// How `--metrics[=json|prom]` was requested: `None` = off,
 /// `Some(false)` = Prometheus text (the bare default), `Some(true)` =
 /// one-line `bwfft-metrics/1` JSON.
-fn metrics_mode(opts: &HashMap<String, String>) -> Result<Option<bool>, CliError> {
-    match opts.get("metrics").map(String::as_str) {
+fn metrics_mode(opts: &Opts) -> Result<Option<bool>, CliError> {
+    match opts.get("metrics") {
         None => Ok(None),
         Some("" | "prom") => Ok(Some(false)),
         Some("json") => Ok(Some(true)),
@@ -346,8 +703,8 @@ fn emit_metrics(snap: &MetricsSnapshot, json: bool) {
 
 /// How `--profile[=json]` was requested: `None` = off,
 /// `Some(false)` = human report, `Some(true)` = JSON export.
-fn profile_mode(opts: &HashMap<String, String>) -> Result<Option<bool>, CliError> {
-    match opts.get("profile").map(String::as_str) {
+fn profile_mode(opts: &Opts) -> Result<Option<bool>, CliError> {
+    match opts.get("profile") {
         None => Ok(None),
         Some("") => Ok(Some(false)),
         Some("json") => Ok(Some(true)),
@@ -368,56 +725,95 @@ fn emit_profile(report: &bwfft::trace::TraceReport, json: bool) {
     }
 }
 
-fn cmd_run(opts: &HashMap<String, String>) -> Result<(), CliError> {
-    let dims = parse_dims(opts.get("dims").ok_or_else(|| usage("--dims required"))?)
-        .map_err(usage)?;
-    let (p_d, p_c) = opts
-        .get("threads")
-        .map(|s| parse_pair(s))
-        .transpose()
-        .map_err(usage)?
-        .unwrap_or((2, 2));
-    let mut builder = FftPlan::builder(dims).threads(p_d, p_c);
-    if let Some(b) = opts.get("buffer") {
-        builder = builder.buffer_elems(b.parse().map_err(|_| usage("bad --buffer"))?);
+/// The plan group, parsed once for `run`, `r2c` and `conv`.
+struct PlanFlags {
+    dims: Dims,
+    p_d: usize,
+    p_c: usize,
+    /// 0 lets the planner derive the buffer.
+    buffer: usize,
+    adapt: bool,
+}
+
+impl PlanFlags {
+    fn parse(opts: &Opts) -> Result<Self, CliError> {
+        let (p_d, p_c) = opts.threads()?.unwrap_or((2, 2));
+        Ok(PlanFlags {
+            dims: parse_dims(opts.required("dims")?).map_err(usage)?,
+            p_d,
+            p_c,
+            buffer: opts.parse("buffer")?.unwrap_or(0),
+            adapt: opts.has("adapt"),
+        })
     }
-    if opts.contains_key("inverse") {
-        builder = builder.direction(Direction::Inverse);
+
+    fn complex(&self, dir: Direction) -> Result<FftPlan, CliError> {
+        let b = FftPlan::builder(self.dims)
+            .threads(self.p_d, self.p_c)
+            .buffer_elems(self.buffer)
+            .direction(dir);
+        let b = if self.adapt { b.adapt_to_host() } else { b };
+        b.build().map_err(typed)
     }
-    if opts.contains_key("adapt") {
-        builder = builder.adapt_to_host();
+
+    fn real(&self) -> Result<RealFftPlan, CliError> {
+        let b = RealFftPlan::builder(self.dims)
+            .threads(self.p_d, self.p_c)
+            .buffer_elems(self.buffer);
+        let b = if self.adapt { b.adapt_to_host() } else { b };
+        b.build().map_err(typed)
     }
-    let plan = builder
-        .build()
-        .map_err(|e| CliError::from(BwfftError::from(e)))?;
-    let mut exec_cfg = bwfft::core::ExecConfig::default();
+}
+
+/// The execution group (`--inject-panic`, `--integrity`,
+/// `--timeout-ms`), shared by `run`, `r2c` and `conv`; `--recover` is
+/// read where the supervisor is chosen.
+fn exec_cfg(opts: &Opts) -> Result<ExecConfig, CliError> {
+    let mut exec_cfg = ExecConfig::default();
     if let Some(spec) = opts.get("inject-panic") {
         exec_cfg.fault = Some(parse_fault(spec).map_err(usage)?);
         bwfft::pipeline::fault::silence_injected_panic_reports();
     }
-    if opts.contains_key("integrity") {
+    if opts.has("integrity") {
         // Arm every guard: buffer canaries and per-block checksums in
         // the pipeline, plus the whole-run Parseval check.
         exec_cfg.integrity = IntegrityConfig::full();
         exec_cfg.verify_energy = true;
     }
-    if let Some(ms) = opts.get("timeout-ms") {
-        let ms: u64 = ms.parse().map_err(|_| usage("bad --timeout-ms"))?;
-        exec_cfg.iter_timeout = Some(std::time::Duration::from_millis(ms));
-    } else {
+    exec_cfg.iter_timeout = opts.millis("timeout-ms")?;
+    if exec_cfg.iter_timeout.is_none() {
         // No explicit budget: arm the adaptive watchdog, which sizes
         // stall budgets from measured step times instead of a guess.
         // The raised floor tolerates scheduler hiccups on busy hosts.
         exec_cfg.adaptive_watchdog = Some(AdaptiveWatchdog {
-            min: std::time::Duration::from_millis(250),
+            min: Duration::from_millis(250),
             ..AdaptiveWatchdog::default()
         });
     }
+    Ok(exec_cfg)
+}
+
+/// Prints the recovery trail of one supervised leg.
+fn print_recovery(rep: &bwfft::core::SupervisedReport, leg: &str) {
+    if rep.recovered() {
+        println!(
+            "{leg}: recovered at the {} tier after {} attempt(s):",
+            rep.tier, rep.attempts
+        );
+        for ev in &rep.events {
+            println!("  {} {} attempt {}: {}", ev.action, ev.tier, ev.attempt, ev.error);
+        }
+    }
+}
+
+fn cmd_run(opts: &Opts) -> Result<(), CliError> {
+    let plan = PlanFlags::parse(opts)?.complex(opts.direction())?;
+    let mut exec_cfg = exec_cfg(opts)?;
+    let seed = opts.seed()?;
     let profile = profile_mode(opts)?;
     let collector = profile.map(|_| Arc::new(TraceCollector::new()));
-    if let Some(c) = &collector {
-        exec_cfg.trace = Some(Arc::clone(c));
-    }
+    exec_cfg.trace = collector.clone();
+    let dims = plan.dims;
     let total = dims.total();
     println!(
         "running {} with {} data + {} compute threads, b = {} elems, {} pipeline iterations/stage",
@@ -430,16 +826,11 @@ fn cmd_run(opts: &HashMap<String, String>) -> Result<(), CliError> {
     for d in &plan.degradations {
         println!("note: degraded to fused executor: {d}");
     }
-    let seed: u64 = opts
-        .get("seed")
-        .map(|s| s.parse().map_err(|_| usage("bad --seed")))
-        .transpose()?
-        .unwrap_or(42);
     let mut data = AlignedVec::from_slice(&signal::random_complex(total, seed));
     let original = data.clone();
     let mut work = AlignedVec::<Complex64>::zeroed(total);
     let t0 = std::time::Instant::now();
-    let (report, executor_label) = if opts.contains_key("recover") {
+    let (report, executor_label) = if opts.has("recover") {
         // Supervised execution: bounded retry/backoff per tier, then
         // escalation pipelined → fused → reference. The recovery trail
         // is printed here and (with --profile) exported as `recovery`
@@ -447,24 +838,12 @@ fn cmd_run(opts: &HashMap<String, String>) -> Result<(), CliError> {
         let sup = Supervisor::new(RetryPolicy::default());
         let rep = sup
             .run(&plan, &mut data, &mut work, &exec_cfg)
-            .map_err(|e| CliError::from(BwfftError::from(e)))?;
-        if rep.recovered() {
-            println!(
-                "recovered at the {} tier after {} attempt(s):",
-                rep.tier, rep.attempts
-            );
-            for ev in &rep.events {
-                println!(
-                    "  {} {} attempt {}: {}",
-                    ev.action, ev.tier, ev.attempt, ev.error
-                );
-            }
-        }
+            .map_err(typed)?;
+        print_recovery(&rep, "run");
         let label = rep.tier.to_string();
         (rep.exec.unwrap_or_default(), label)
     } else {
-        let rep = exec_real::execute_with(&plan, &mut data, &mut work, &exec_cfg)
-            .map_err(|e| CliError::from(BwfftError::from(e)))?;
+        let rep = exec_real::execute_with(&plan, &mut data, &mut work, &exec_cfg).map_err(typed)?;
         let label = format!("{:?}", rep.executor).to_lowercase();
         (rep, label)
     };
@@ -486,19 +865,13 @@ fn cmd_run(opts: &HashMap<String, String>) -> Result<(), CliError> {
                 .join(", ")
         );
     }
-    if opts.contains_key("verify") {
+    if opts.has("verify") {
         let mut reference = original.clone();
         match dims {
-            Dims::Three { k, n, m } => reference_impl::pencil_fft_3d(
-                &mut reference,
-                k,
-                n,
-                m,
-                plan.dir,
-            ),
-            Dims::Two { n, m } => {
-                reference_impl::pencil_fft_2d(&mut reference, n, m, plan.dir)
+            Dims::Three { k, n, m } => {
+                reference_impl::pencil_fft_3d(&mut reference, k, n, m, plan.dir)
             }
+            Dims::Two { n, m } => reference_impl::pencil_fft_2d(&mut reference, n, m, plan.dir),
         }
         let err = rel_l2_error(&data, &reference);
         println!("verification vs pencil-pencil reference: rel L2 error = {err:.2e}");
@@ -510,13 +883,11 @@ fn cmd_run(opts: &HashMap<String, String>) -> Result<(), CliError> {
     if let (Some(json), Some(collector)) = (profile, &collector) {
         // The %-of-achievable column needs a bandwidth roofline; use
         // the named preset's STREAM figure, defaulting to Kaby Lake.
-        let spec = match opts.get("machine") {
-            Some(name) => machine_by_name(name).map_err(usage)?,
-            None => presets::kaby_lake_7700k(),
-        };
+        let named = opts.machine()?;
+        let noted = if named.is_some() { "" } else { " (default; set --machine)" };
+        let spec = named.unwrap_or_else(presets::kaby_lake_7700k);
         let bw = spec.total_dram_bw_gbs();
         if !json {
-            let noted = if opts.contains_key("machine") { "" } else { " (default; set --machine)" };
             println!("achievable bandwidth reference: {bw:.1} GB/s from {}{noted}", spec.name);
         }
         let rep =
@@ -532,21 +903,11 @@ fn cmd_run(opts: &HashMap<String, String>) -> Result<(), CliError> {
 /// the pencil-pencil reference. The contract — every run is either
 /// correct or a typed error, never a wrong answer, never a panic —
 /// failing is exit code 1.
-fn cmd_soak(opts: &HashMap<String, String>) -> Result<(), CliError> {
+fn cmd_soak(opts: &Opts) -> Result<(), CliError> {
     let mut cfg = SoakConfig::default();
-    if let Some(n) = opts.get("iters") {
-        cfg.iters = n.parse().map_err(|_| usage("bad --iters"))?;
-        if cfg.iters == 0 {
-            return Err(usage("--iters must be at least 1"));
-        }
-    }
-    if let Some(s) = opts.get("seed") {
-        cfg.seed = s.parse().map_err(|_| usage("bad --seed"))?;
-    }
-    if let Some(ms) = opts.get("stall-ms") {
-        let ms: u64 = ms.parse().map_err(|_| usage("bad --stall-ms"))?;
-        cfg.stall = std::time::Duration::from_millis(ms);
-    }
+    cfg.iters = opts.count("iters")?.unwrap_or(cfg.iters);
+    cfg.seed = opts.parse("seed")?.unwrap_or(cfg.seed);
+    cfg.stall = opts.millis("stall-ms")?.unwrap_or(cfg.stall);
     println!(
         "soak: {} iteration(s), seed {:#x}, full fault matrix, integrity guards on",
         cfg.iters, cfg.seed
@@ -560,19 +921,14 @@ fn cmd_soak(opts: &HashMap<String, String>) -> Result<(), CliError> {
         )));
     }
     println!("soak contract holds: never wrong, never a panic");
-    if opts.contains_key("serve") {
+    if opts.has("serve") {
         // The concurrent overload matrix: burst arrivals, oversized
         // requests, injected faults mid-flight, shutdown races.
         let mut scfg = ServeSoakConfig {
             seed: cfg.seed,
             ..ServeSoakConfig::default()
         };
-        if let Some(n) = opts.get("serve-iters") {
-            scfg.iters = n.parse().map_err(|_| usage("bad --serve-iters"))?;
-            if scfg.iters == 0 {
-                return Err(usage("--serve-iters must be at least 1"));
-            }
-        }
+        scfg.iters = opts.count("serve-iters")?.unwrap_or(scfg.iters);
         println!(
             "serve soak: {} lifecycle(s), seed {:#x}, overload matrix \
              (burst / oversized / faults / shutdown races)",
@@ -589,22 +945,20 @@ fn cmd_soak(opts: &HashMap<String, String>) -> Result<(), CliError> {
         }
         println!("serve soak contract holds: one typed outcome per request, never wrong");
     }
-    if opts.contains_key("ooc-kill") {
+    if opts.has("ooc-kill") {
         // The kill/restart drill: real child processes aborted
         // mid-stage, journals torn, scratch bit-flipped, then resumed.
         let mut kcfg = OocKillSoakConfig {
             seed: cfg.seed,
             ..OocKillSoakConfig::default()
         };
-        if let Some(d) = opts.get("ooc-dir") {
-            kcfg.parent = Some(PathBuf::from(d));
-        }
+        kcfg.parent = opts.get("ooc-dir").map(PathBuf::from);
         println!(
             "ooc kill soak: {} kill/resume cycle(s), seed {:#x}, n = {}, \
              budget {} B (tamper matrix: torn tail / garbage tail / scratch flip)",
             kcfg.iters, kcfg.seed, kcfg.n, kcfg.budget_bytes
         );
-        let kreport = run_ooc_kill_soak(&kcfg).map_err(|e| CliError::Runtime(e.to_string()))?;
+        let kreport = run_ooc_kill_soak(&kcfg).map_err(runtime)?;
         println!("{}", kreport.render());
         if !kreport.holds() {
             return Err(CliError::Runtime(format!(
@@ -623,50 +977,21 @@ fn cmd_soak(opts: &HashMap<String, String>) -> Result<(), CliError> {
 
 /// Builds the open-loop driver config from `serve` / `bench --suite
 /// serve` flags.
-fn serve_bench_config(opts: &HashMap<String, String>) -> Result<ServeBenchConfig, CliError> {
-    let mut cfg = ServeBenchConfig::default();
-    if let Some(d) = opts.get("dims") {
-        cfg.dims = parse_dims(d).map_err(usage)?;
-    }
-    if let Some(b) = opts.get("buffer") {
-        cfg.buffer_elems = b.parse().map_err(|_| usage("bad --buffer"))?;
-    }
-    if let Some(t) = opts.get("threads") {
-        cfg.threads = parse_pair(t).map_err(usage)?;
-    }
-    if let Some(n) = opts.get("requests") {
-        cfg.requests = n.parse().map_err(|_| usage("bad --requests"))?;
-        if cfg.requests == 0 {
-            return Err(usage("--requests must be at least 1"));
-        }
-    }
-    if let Some(w) = opts.get("workers") {
-        cfg.workers = w.parse().map_err(|_| usage("bad --workers"))?;
-        if cfg.workers == 0 {
-            return Err(usage("--workers must be at least 1"));
-        }
-    }
-    if let Some(q) = opts.get("queue-depth") {
-        cfg.queue_capacity = q.parse().map_err(|_| usage("bad --queue-depth"))?;
-        if cfg.queue_capacity == 0 {
-            return Err(usage("--queue-depth must be at least 1"));
-        }
-    }
-    if let Some(b) = opts.get("byte-budget") {
-        cfg.byte_budget = Some(b.parse().map_err(|_| usage("bad --byte-budget"))?);
-    }
-    if let Some(ms) = opts.get("deadline-ms") {
-        let ms: u64 = ms.parse().map_err(|_| usage("bad --deadline-ms"))?;
-        cfg.deadline = Some(std::time::Duration::from_millis(ms));
-    }
-    if let Some(us) = opts.get("arrival-us") {
-        let us: u64 = us.parse().map_err(|_| usage("bad --arrival-us"))?;
-        cfg.arrival = std::time::Duration::from_micros(us);
-    }
-    if let Some(s) = opts.get("seed") {
-        cfg.seed = s.parse().map_err(|_| usage("bad --seed"))?;
-    }
-    Ok(cfg)
+fn serve_bench_config(opts: &Opts) -> Result<ServeBenchConfig, CliError> {
+    let d = ServeBenchConfig::default();
+    Ok(ServeBenchConfig {
+        dims: opts.get("dims").map(parse_dims).transpose().map_err(usage)?.unwrap_or(d.dims),
+        buffer_elems: opts.parse("buffer")?.unwrap_or(d.buffer_elems),
+        threads: opts.threads()?.unwrap_or(d.threads),
+        requests: opts.count("requests")?.unwrap_or(d.requests),
+        workers: opts.count("workers")?.unwrap_or(d.workers),
+        queue_capacity: opts.count("queue-depth")?.unwrap_or(d.queue_capacity),
+        byte_budget: opts.parse("byte-budget")?.or(d.byte_budget),
+        deadline: opts.millis("deadline-ms")?.or(d.deadline),
+        arrival: opts.parse("arrival-us")?.map_or(d.arrival, Duration::from_micros),
+        seed: opts.seed()?,
+        ..d
+    })
 }
 
 /// `serve`: throw an open-loop request schedule at the concurrent
@@ -675,16 +1000,10 @@ fn serve_bench_config(opts: &HashMap<String, String>) -> Result<ServeBenchConfig
 /// when requests were shed or timed out (that is the service working
 /// as specified); `Failed` outcomes or unbalanced accounting are
 /// exit 1.
-fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), CliError> {
+fn cmd_serve(opts: &Opts) -> Result<(), CliError> {
     let mut cfg = serve_bench_config(opts)?;
     let metrics_json = metrics_mode(opts)?;
-    let every_ms: Option<u64> = opts
-        .get("metrics-every-ms")
-        .map(|s| s.parse().map_err(|_| usage("bad --metrics-every-ms")))
-        .transpose()?;
-    if every_ms == Some(0) {
-        return Err(usage("--metrics-every-ms must be at least 1"));
-    }
+    let every_ms = opts.count("metrics-every-ms")?;
     if every_ms.is_some() && metrics_json.is_none() {
         return Err(usage("--metrics-every-ms requires --metrics[=json|prom]"));
     }
@@ -696,7 +1015,10 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), CliError> {
         "serve: {} open-loop request(s) of {} (b = {}), {} worker(s), queue depth {}{}{}{}",
         cfg.requests,
         cfg.dims.label(),
-        cfg.buffer_elems,
+        match cfg.buffer_elems {
+            0 => "planner's".to_string(),
+            b => b.to_string(),
+        },
         cfg.workers,
         cfg.queue_capacity,
         match cfg.byte_budget {
@@ -723,7 +1045,7 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), CliError> {
             let stop = Arc::clone(&stop);
             let json = metrics_json == Some(true);
             Some(std::thread::spawn(move || {
-                let tick = std::time::Duration::from_millis(ms);
+                let tick = Duration::from_millis(ms as u64);
                 loop {
                     std::thread::sleep(tick);
                     if stop.load(std::sync::atomic::Ordering::Relaxed) {
@@ -824,9 +1146,9 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), CliError> {
 /// whole `serve --metrics=json` transcript — the last parseable line
 /// wins) and pretty-prints the window as rates and interval
 /// percentiles.
-fn cmd_stat(opts: &HashMap<String, String>) -> Result<(), CliError> {
-    let from = load_metrics_snapshot(opts.get("from").ok_or_else(|| usage("--from required"))?)?;
-    let to = load_metrics_snapshot(opts.get("to").ok_or_else(|| usage("--to required"))?)?;
+fn cmd_stat(opts: &Opts) -> Result<(), CliError> {
+    let from = load_metrics_snapshot(opts.required("from")?)?;
+    let to = load_metrics_snapshot(opts.required("to")?)?;
     let d = to.diff(&from);
     let secs = d.uptime_ns as f64 / 1e9;
     println!("window: {:.3} s", secs);
@@ -894,24 +1216,14 @@ fn load_metrics_snapshot(path: &str) -> Result<MetricsSnapshot, CliError> {
 /// the sampled spot-check + streamed-Parseval oracle. Typed failures
 /// (infeasible budget, exhausted stage ladder, oracle mismatch) are
 /// exit 1; malformed flags are exit 2.
-fn cmd_ooc(opts: &HashMap<String, String>) -> Result<(), CliError> {
-    let n: usize = opts
-        .get("n")
-        .ok_or_else(|| usage("--n required"))?
-        .parse()
-        .map_err(|_| usage("bad --n"))?;
-    let mut cfg = OocConfig::default();
-    if opts.contains_key("inverse") {
-        cfg.dir = Direction::Inverse;
-    }
-    if let Some(b) = opts.get("budget") {
-        cfg.budget_bytes = b.parse().map_err(|_| usage("bad --budget"))?;
-        if cfg.budget_bytes == 0 {
-            return Err(usage("--budget must be at least 1 byte"));
-        }
-    }
-    if let Some(t) = opts.get("threads") {
-        let (p_d, p_c) = parse_pair(t).map_err(usage)?;
+fn cmd_ooc(opts: &Opts) -> Result<(), CliError> {
+    let n: usize = opts.parse("n")?.ok_or_else(|| usage("--n required"))?;
+    let mut cfg = OocConfig {
+        dir: opts.direction(),
+        ..OocConfig::default()
+    };
+    cfg.budget_bytes = opts.count("budget")?.unwrap_or(cfg.budget_bytes);
+    if let Some((p_d, p_c)) = opts.threads()? {
         if p_d == 0 || p_c == 0 {
             return Err(usage("--threads counts must be at least 1"));
         }
@@ -922,10 +1234,10 @@ fn cmd_ooc(opts: &HashMap<String, String>) -> Result<(), CliError> {
         cfg.fault = Some(parse_io_fault(spec).map_err(usage)?);
     }
     let workspace = opts.get("workspace").map(PathBuf::from);
-    let resume = opts.contains_key("resume");
-    let keep = opts.contains_key("keep-workspace");
+    let resume = opts.has("resume");
+    let keep = opts.has("keep-workspace");
     if workspace.is_none()
-        && (resume || keep || opts.contains_key("resume-verify") || opts.contains_key("crash-at"))
+        && (resume || keep || opts.has("resume-verify") || opts.has("crash-at"))
     {
         return Err(usage(
             "--resume/--keep-workspace/--resume-verify/--crash-at require --workspace PATH",
@@ -938,17 +1250,8 @@ fn cmd_ooc(opts: &HashMap<String, String>) -> Result<(), CliError> {
         cfg.checkpoint.crash = Some(parse_crash_point(spec).map_err(usage)?);
     }
     let mut oracle_cfg = OracleConfig::default();
-    if let Some(k) = opts.get("bins") {
-        oracle_cfg.bins = k.parse().map_err(|_| usage("bad --bins"))?;
-        if oracle_cfg.bins == 0 {
-            return Err(usage("--bins must be at least 1"));
-        }
-    }
-    let seed: u64 = opts
-        .get("seed")
-        .map(|s| s.parse().map_err(|_| usage("bad --seed")))
-        .transpose()?
-        .unwrap_or(42);
+    oracle_cfg.bins = opts.count("bins")?.unwrap_or(oracle_cfg.bins);
+    let seed = opts.seed()?;
     println!(
         "ooc: n = {n} ({} {:?}), budget {} B, {}+{} threads, oracle {} bin(s), seed {seed}{}",
         fmt_bytes(n as u64 * 16),
@@ -982,7 +1285,7 @@ fn cmd_ooc(opts: &HashMap<String, String>) -> Result<(), CliError> {
             })?
         }
         None => bwfft::ooc::run_generated(n, seed, &cfg, &oracle_cfg)
-            .map_err(|e| CliError::Runtime(e.to_string()))?,
+            .map_err(runtime)?,
     };
     let p = &out.plan;
     let r = &out.report;
@@ -1001,7 +1304,7 @@ fn cmd_ooc(opts: &HashMap<String, String>) -> Result<(), CliError> {
          retries={} serial_fallbacks={} faults_hit={}",
         fmt_bytes(r.bytes_read),
         fmt_bytes(r.bytes_written),
-        std::time::Duration::from_nanos(r.wall_ns),
+        Duration::from_nanos(r.wall_ns),
         r.storage_gbs(),
         r.retries,
         r.serial_fallbacks,
@@ -1024,70 +1327,9 @@ fn cmd_ooc(opts: &HashMap<String, String>) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Fault-tolerance knobs shared by `r2c` and `conv` (same flags as
-/// `run`): `--inject-panic`, `--integrity`, `--timeout-ms` / adaptive
-/// watchdog.
-fn real_exec_cfg(opts: &HashMap<String, String>) -> Result<bwfft::core::ExecConfig, CliError> {
-    let mut exec_cfg = bwfft::core::ExecConfig::default();
-    if let Some(spec) = opts.get("inject-panic") {
-        exec_cfg.fault = Some(parse_fault(spec).map_err(usage)?);
-        bwfft::pipeline::fault::silence_injected_panic_reports();
-    }
-    if opts.contains_key("integrity") {
-        exec_cfg.integrity = IntegrityConfig::full();
-        exec_cfg.verify_energy = true;
-    }
-    if let Some(ms) = opts.get("timeout-ms") {
-        let ms: u64 = ms.parse().map_err(|_| usage("bad --timeout-ms"))?;
-        exec_cfg.iter_timeout = Some(std::time::Duration::from_millis(ms));
-    } else {
-        exec_cfg.adaptive_watchdog = Some(AdaptiveWatchdog {
-            min: std::time::Duration::from_millis(250),
-            ..AdaptiveWatchdog::default()
-        });
-    }
-    Ok(exec_cfg)
-}
-
-/// Builds the real-transform plan the `r2c`/`conv` subcommands share.
-fn real_plan_from_opts(opts: &HashMap<String, String>) -> Result<RealFftPlan, CliError> {
-    let dims = parse_dims(opts.get("dims").ok_or_else(|| usage("--dims required"))?)
-        .map_err(usage)?;
-    let (p_d, p_c) = opts
-        .get("threads")
-        .map(|s| parse_pair(s))
-        .transpose()
-        .map_err(usage)?
-        .unwrap_or((2, 2));
-    let mut builder = RealFftPlan::builder(dims).threads(p_d, p_c);
-    if let Some(b) = opts.get("buffer") {
-        builder = builder.buffer_elems(b.parse().map_err(|_| usage("bad --buffer"))?);
-    }
-    if opts.contains_key("adapt") {
-        builder = builder.adapt_to_host();
-    }
-    builder
-        .build()
-        .map_err(|e| CliError::from(BwfftError::from(e)))
-}
-
 fn random_real_field(n: usize, seed: u64) -> Vec<f64> {
     let mut rng = signal::SplitMix64::new(seed);
     (0..n).map(|_| rng.next_f64() * 2.0 - 1.0).collect()
-}
-
-/// Prints the recovery trail of one supervised leg, mirroring `run
-/// --recover`'s format.
-fn print_recovery(rep: &bwfft::core::SupervisedReport, leg: &str) {
-    if rep.recovered() {
-        println!(
-            "{leg}: recovered at the {} tier after {} attempt(s):",
-            rep.tier, rep.attempts
-        );
-        for ev in &rep.events {
-            println!("  {} {} attempt {}: {}", ev.action, ev.tier, ev.attempt, ev.error);
-        }
-    }
 }
 
 /// `r2c`: a real-input transform through the packed half-spectrum path
@@ -1096,14 +1338,10 @@ fn print_recovery(rep: &bwfft::core::SupervisedReport, leg: &str) {
 /// and with `--verify` also matches the spectrum against the reference
 /// tier bin by bin. The bytes summary states the real-path win over
 /// the complex path for the same logical transform.
-fn cmd_r2c(opts: &HashMap<String, String>) -> Result<(), CliError> {
-    let plan = real_plan_from_opts(opts)?;
-    let exec_cfg = real_exec_cfg(opts)?;
-    let seed: u64 = opts
-        .get("seed")
-        .map(|s| s.parse().map_err(|_| usage("bad --seed")))
-        .transpose()?
-        .unwrap_or(42);
+fn cmd_r2c(opts: &Opts) -> Result<(), CliError> {
+    let plan = PlanFlags::parse(opts)?.real()?;
+    let exec_cfg = exec_cfg(opts)?;
+    let seed = opts.seed()?;
     let n = plan.real_elems();
     // Complex path for the same logical transform: N complex in + N
     // complex out. Real path: N doubles in, N/2+rows packed bins out.
@@ -1123,12 +1361,12 @@ fn cmd_r2c(opts: &HashMap<String, String>) -> Result<(), CliError> {
     let mut work = vec![Complex64::ZERO; plan.packed_elems()];
     let mut spec = vec![Complex64::ZERO; plan.spectrum_elems()];
     let t0 = std::time::Instant::now();
-    if opts.contains_key("recover") {
+    if opts.has("recover") {
         let sup = Supervisor::new(RetryPolicy::default());
-        let rep = sup_err(plan.r2c_supervised(&sup, &x, &mut work, &mut spec, &exec_cfg))?;
+        let rep = plan.r2c_supervised(&sup, &x, &mut work, &mut spec, &exec_cfg).map_err(typed)?;
         print_recovery(&rep, "r2c");
     } else {
-        sup_err(plan.r2c_with(&x, &mut work, &mut spec, &exec_cfg))?;
+        plan.r2c_with(&x, &mut work, &mut spec, &exec_cfg).map_err(typed)?;
     }
     let dt = t0.elapsed();
     println!("forward r2c done in {dt:.2?}");
@@ -1144,28 +1382,19 @@ fn cmd_r2c(opts: &HashMap<String, String>) -> Result<(), CliError> {
 
     // Round trip: c2r(r2c(x)) must be N·x.
     let mut back = vec![0.0; n];
-    sup_err(plan.c2r(&spec, &mut work, &mut back))?;
+    plan.c2r(&spec, &mut work, &mut back).map_err(typed)?;
     bwfft::real::normalize(&mut back);
-    let roundtrip_err = back
-        .iter()
-        .zip(&x)
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0, f64::max);
+    let roundtrip_err = max_abs_diff(&back, &x);
     println!("c2r round-trip max |Δ| = {roundtrip_err:.2e}");
     if roundtrip_err > 1e-10 {
         return Err(CliError::Runtime("c2r round-trip FAILED".into()));
     }
 
-    if opts.contains_key("verify") {
+    if opts.has("verify") {
         let mut want = vec![Complex64::ZERO; plan.spectrum_elems()];
-        sup_err(plan.r2c_reference(&x, &mut want))?;
+        plan.r2c_reference(&x, &mut want).map_err(typed)?;
         let scale = want.iter().map(|v| v.abs()).fold(1.0, f64::max);
-        let max_err = spec
-            .iter()
-            .zip(&want)
-            .map(|(a, b)| (*a - *b).abs())
-            .fold(0.0, f64::max)
-            / scale;
+        let max_err = max_abs_error(&spec, &want) / scale;
         println!("verification vs reference tier: rel max err = {max_err:.2e}");
         if max_err > 1e-11 {
             return Err(CliError::Runtime("verification FAILED".into()));
@@ -1181,16 +1410,12 @@ fn cmd_r2c(opts: &HashMap<String, String>) -> Result<(), CliError> {
 /// circular convolution must reproduce the input exactly. `--verify`
 /// compares against the unfused reference-tier pipeline (and on sizes
 /// ≤ 4096 elements also the direct O(n²) oracle).
-fn cmd_conv(opts: &HashMap<String, String>) -> Result<(), CliError> {
-    let plan = real_plan_from_opts(opts)?;
-    let exec_cfg = real_exec_cfg(opts)?;
-    let seed: u64 = opts
-        .get("seed")
-        .map(|s| s.parse().map_err(|_| usage("bad --seed")))
-        .transpose()?
-        .unwrap_or(42);
+fn cmd_conv(opts: &Opts) -> Result<(), CliError> {
+    let plan = PlanFlags::parse(opts)?.real()?;
+    let exec_cfg = exec_cfg(opts)?;
+    let seed = opts.seed()?;
     let n = plan.real_elems();
-    let impulse = opts.contains_key("impulse");
+    let impulse = opts.has("impulse");
     let kernel: Vec<f64> = if impulse {
         let mut g = vec![0.0; n];
         g[0] = 1.0;
@@ -1211,14 +1436,14 @@ fn cmd_conv(opts: &HashMap<String, String>) -> Result<(), CliError> {
         plan.spectrum_elems()
     );
     let conv = SpectralConvPlan::new(plan, &kernel)
-        .map_err(|e| CliError::from(BwfftError::from(e)))?;
+        .map_err(typed)?;
     let x = random_real_field(n, seed);
     let mut got = x.clone();
     let mut work = vec![Complex64::ZERO; conv.plan().packed_elems()];
     let t0 = std::time::Instant::now();
-    if opts.contains_key("recover") {
+    if opts.has("recover") {
         let sup = Supervisor::new(RetryPolicy::default());
-        let rep = sup_err(conv.convolve_supervised(&sup, &mut got, &mut work, &exec_cfg))?;
+        let rep = conv.convolve_supervised(&sup, &mut got, &mut work, &exec_cfg).map_err(typed)?;
         print_recovery(&rep.forward, "forward leg");
         print_recovery(&rep.inverse, "inverse leg");
         if rep.recovered() {
@@ -1229,56 +1454,42 @@ fn cmd_conv(opts: &HashMap<String, String>) -> Result<(), CliError> {
             );
         }
     } else {
-        sup_err(conv.convolve_with(&mut got, &mut work, &exec_cfg))?;
+        conv.convolve_with(&mut got, &mut work, &exec_cfg).map_err(typed)?;
     }
     let dt = t0.elapsed();
     println!("fused convolution done in {dt:.2?}");
 
     if impulse {
         // conv(x, δ) == x, exactly (to round-off).
-        let max_err = got
-            .iter()
-            .zip(&x)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0, f64::max);
+        let max_err = max_abs_diff(&got, &x);
         println!("impulse identity max |Δ| = {max_err:.2e}");
         if max_err > 1e-10 {
             return Err(CliError::Runtime("impulse identity FAILED".into()));
         }
     }
-    if opts.contains_key("verify") {
+    if opts.has("verify") {
         // Unfused reference pipeline: r2c both operands on the
         // reference tier, multiply the packed spectra, c2r, /N.
         let plan = conv.plan();
         let mut xs = vec![Complex64::ZERO; plan.spectrum_elems()];
         let mut gs = vec![Complex64::ZERO; plan.spectrum_elems()];
-        sup_err(plan.r2c_reference(&x, &mut xs))?;
-        sup_err(plan.r2c_reference(&kernel, &mut gs))?;
+        plan.r2c_reference(&x, &mut xs).map_err(typed)?;
+        plan.r2c_reference(&kernel, &mut gs).map_err(typed)?;
         for (a, b) in xs.iter_mut().zip(&gs) {
             *a *= *b;
         }
         let mut want = vec![0.0; n];
-        sup_err(plan.c2r_reference(&xs, &mut want))?;
+        plan.c2r_reference(&xs, &mut want).map_err(typed)?;
         bwfft::real::normalize(&mut want);
         let scale = want.iter().map(|v| v.abs()).fold(1.0, f64::max);
-        let rel_err = got
-            .iter()
-            .zip(&want)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0, f64::max)
-            / scale;
+        let rel_err = max_abs_diff(&got, &want) / scale;
         println!("verification vs unfused reference pipeline: rel max err = {rel_err:.2e}");
         if rel_err > 1e-10 {
             return Err(CliError::Runtime("verification FAILED".into()));
         }
         if n <= 4096 {
             let direct = conv_direct_nd(&x, &kernel, conv.plan().dims());
-            let d_err = got
-                .iter()
-                .zip(&direct)
-                .map(|(a, b)| (a - b).abs())
-                .fold(0.0, f64::max)
-                / scale;
+            let d_err = max_abs_diff(&got, &direct) / scale;
             println!("verification vs direct O(n²) oracle: rel max err = {d_err:.2e}");
             if d_err > 1e-9 {
                 return Err(CliError::Runtime("direct-oracle verification FAILED".into()));
@@ -1288,6 +1499,10 @@ fn cmd_conv(opts: &HashMap<String, String>) -> Result<(), CliError> {
     }
     println!("conv contract holds: fused spectral convolution verified");
     Ok(())
+}
+
+fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
+    a.iter().zip(b).map(|(a, b)| (a - b).abs()).fold(0.0, f64::max)
 }
 
 /// Direct multidimensional circular convolution, the O(n²) oracle for
@@ -1331,11 +1546,6 @@ fn conv_direct_nd(x: &[f64], g: &[f64], dims: Dims) -> Vec<f64> {
         }
     }
     out
-}
-
-/// Maps a core-layer result into the CLI error discipline.
-fn sup_err<T>(r: Result<T, bwfft::core::CoreError>) -> Result<T, CliError> {
-    r.map_err(|e| CliError::from(BwfftError::from(e)))
 }
 
 fn fmt_bytes(b: u64) -> String {
@@ -1411,15 +1621,10 @@ fn parse_crash_point(s: &str) -> Result<CrashPoint, String> {
 /// `workspace gc`: sweep abandoned `bwfft-ooc-*` scratch directories
 /// under `--dir` whose last write is older than the threshold. Named
 /// checkpoint workspaces (kept on crash for resume) are never touched.
-fn cmd_workspace_gc(opts: &HashMap<String, String>) -> Result<(), CliError> {
-    let dir = PathBuf::from(opts.get("dir").ok_or_else(|| usage("--dir required"))?);
-    let secs: u64 = opts
-        .get("older-than-secs")
-        .map(|s| s.parse().map_err(|_| usage("bad --older-than-secs")))
-        .transpose()?
-        .unwrap_or(24 * 3600);
-    let removed = gc_stale(&dir, std::time::Duration::from_secs(secs))
-        .map_err(|e| CliError::Runtime(e.to_string()))?;
+fn cmd_workspace_gc(opts: &Opts) -> Result<(), CliError> {
+    let dir = PathBuf::from(opts.required("dir")?);
+    let secs: u64 = opts.parse("older-than-secs")?.unwrap_or(24 * 3600);
+    let removed = gc_stale(&dir, Duration::from_secs(secs)).map_err(runtime)?;
     for p in &removed {
         println!("removed {}", p.display());
     }
@@ -1447,21 +1652,17 @@ fn parse_fault(s: &str) -> Result<FaultPlan, String> {
     Ok(FaultPlan::panic_at(role, thread, iter))
 }
 
+
 /// `tune`: search for the best plan for a shape, demonstrate the cache
 /// hit on a repeated request, and optionally persist/reuse wisdom.
-fn cmd_tune(opts: &HashMap<String, String>) -> Result<(), CliError> {
-    let dims = parse_dims(opts.get("dims").ok_or_else(|| usage("--dims required"))?)
-        .map_err(usage)?;
-    let dir = if opts.contains_key("inverse") {
-        Direction::Inverse
-    } else {
-        Direction::Forward
-    };
+fn cmd_tune(opts: &Opts) -> Result<(), CliError> {
+    let dims = parse_dims(opts.required("dims")?).map_err(usage)?;
+    let dir = opts.direction();
     let profile = profile_mode(opts)?;
     let collector = profile.map(|_| Arc::new(TraceCollector::new()));
     let fp = HostFingerprint::detect();
     let mut tuner_opts = TunerOptions::for_host(&bwfft::core::HostProfile::detect());
-    if opts.contains_key("model-only") {
+    if opts.has("model-only") {
         tuner_opts.model_only = true;
     }
     if let Some(c) = &collector {
@@ -1495,7 +1696,7 @@ fn cmd_tune(opts: &HashMap<String, String>) -> Result<(), CliError> {
     let t0 = std::time::Instant::now();
     let _plan = cache
         .get_or_tune(dims, dir)
-        .map_err(|e| CliError::from(BwfftError::from(e)))?;
+        .map_err(typed)?;
     if had_wisdom {
         println!("tuning skipped (wisdom hit) for {} {dir:?}", dims.label());
     } else {
@@ -1505,7 +1706,7 @@ fn cmd_tune(opts: &HashMap<String, String>) -> Result<(), CliError> {
     // cache — this is what `--plan-stats` makes observable.
     let _again = cache
         .get_or_tune(dims, dir)
-        .map_err(|e| CliError::from(BwfftError::from(e)))?;
+        .map_err(typed)?;
     if let Some(rec) = cache
         .export_records()
         .into_iter()
@@ -1513,7 +1714,7 @@ fn cmd_tune(opts: &HashMap<String, String>) -> Result<(), CliError> {
     {
         println!("best: {}", rec.describe());
     }
-    if opts.contains_key("plan-stats") {
+    if opts.has("plan-stats") {
         let s = cache.stats();
         println!(
             "plan cache: hits={} misses={} evictions={}",
@@ -1523,7 +1724,7 @@ fn cmd_tune(opts: &HashMap<String, String>) -> Result<(), CliError> {
     if let Some(path) = &wisdom_path {
         let mut w = Wisdom::new(fp);
         w.records = cache.export_records();
-        wisdom::save(path, &w).map_err(|e| CliError::from(BwfftError::from(e)))?;
+        wisdom::save(path, &w).map_err(typed)?;
         println!("wisdom: saved {} plan(s) to {}", w.records.len(), path.display());
     }
     if let (Some(json), Some(collector)) = (profile, &collector) {
@@ -1542,25 +1743,19 @@ fn cmd_tune(opts: &HashMap<String, String>) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_simulate(opts: &HashMap<String, String>) -> Result<(), CliError> {
-    let dims = parse_dims(opts.get("dims").ok_or_else(|| usage("--dims required"))?)
-        .map_err(usage)?;
-    let spec = machine_by_name(opts.get("machine").ok_or_else(|| usage("--machine required"))?)
-        .map_err(usage)?;
-    let sockets: usize = opts
-        .get("sockets")
-        .map(|s| s.parse().map_err(|_| usage("bad --sockets")))
-        .transpose()?
-        .unwrap_or(spec.sockets);
+fn cmd_simulate(opts: &Opts) -> Result<(), CliError> {
+    let dims = parse_dims(opts.required("dims")?).map_err(usage)?;
+    let spec = machine_by_name(opts.required("machine")?).map_err(usage)?;
+    let sockets: usize = opts.parse("sockets")?.unwrap_or(spec.sockets);
     let p = spec.total_threads() * sockets / spec.sockets;
     let plan = FftPlan::builder(dims)
         .buffer_elems(spec.default_buffer_elems())
         .threads(p / 2, p - p / 2)
         .sockets(sockets)
         .build()
-        .map_err(|e| CliError::from(BwfftError::from(e)))?;
+        .map_err(typed)?;
     let r = simulate(&plan, &spec, &SimOptions::default())
-        .map_err(|e| CliError::from(BwfftError::from(e)))?;
+        .map_err(typed)?;
     println!("{}", r.report);
     for s in &r.stages {
         println!(
@@ -1571,7 +1766,7 @@ fn cmd_simulate(opts: &HashMap<String, String>) -> Result<(), CliError> {
             s.link_bytes / 1e9
         );
     }
-    if opts.contains_key("baselines") {
+    if opts.has("baselines") {
         for kind in [BaselineKind::MklLike, BaselineKind::FftwLike, BaselineKind::SlabPencil] {
             let b = simulate_baseline(kind, dims, &spec);
             println!("{b}");
@@ -1583,23 +1778,26 @@ fn cmd_simulate(opts: &HashMap<String, String>) -> Result<(), CliError> {
 /// `bench`: run the canonical statistical suite, write the versioned
 /// `BENCH_*.json` record, and optionally gate against a baseline. With
 /// both `--compare` and `--current` nothing is run — the two existing
-/// files are compared directly (the CI gate's replay mode).
-fn cmd_bench(opts: &HashMap<String, String>) -> Result<(), CliError> {
+/// files are compared directly (the CI gate's replay mode). `--suite
+/// serve` routes through the open-loop driver instead of the executor
+/// measurement loop; its single-row record's service columns carry
+/// requests/sec, p50/p99 and the outcome counts, and the p99 tail is
+/// threshold-gated like medians.
+fn cmd_bench(opts: &Opts) -> Result<(), CliError> {
     let gate = GateConfig {
         threshold_pct: opts
-            .get("threshold")
-            .map(|s| s.parse().map_err(|_| usage("bad --threshold")))
-            .transpose()?
-            .unwrap_or_else(|| GateConfig::default().threshold_pct),
+            .parse("threshold")?
+            .unwrap_or(GateConfig::default().threshold_pct),
         ..GateConfig::default()
     };
-    let derate_factor: Option<f64> = opts
-        .get("derate")
-        .map(|s| s.parse().map_err(|_| usage("bad --derate")))
-        .transpose()?;
+    let derate_factor: Option<f64> = opts.parse("derate")?;
 
     // Replay mode: compare two existing BENCH files, run nothing.
     if let Some(cur_path) = opts.get("current") {
+        let replay = ["current", "compare", "threshold", "derate"];
+        if let Some(f) = opts.cmd.flags().find(|f| opts.has(f.name) && !replay.contains(&f.name)) {
+            return Err(usage(format!("--{} does not apply to a --current replay", f.name)));
+        }
         let base_path = opts
             .get("compare")
             .ok_or_else(|| usage("--current requires --compare BASELINE"))?;
@@ -1611,183 +1809,111 @@ fn cmd_bench(opts: &HashMap<String, String>) -> Result<(), CliError> {
         return finish_compare(&base, &cur, &gate);
     }
 
-    // The service-latency suite routes through the open-loop driver
-    // instead of the executor measurement loop.
-    if opts.get("suite").map(String::as_str) == Some("serve") {
-        return cmd_bench_serve(opts, &gate, derate_factor);
-    }
-    let kind = match opts.get("suite") {
-        None => SuiteKind::Smoke,
-        Some(s) => SuiteKind::parse(s)
-            .ok_or_else(|| usage(format!("unknown --suite `{s}` (smoke|fast|full|serve)")))?,
-    };
-    let mut mcfg = MeasureConfig::default();
-    if let Some(r) = opts.get("reps") {
-        mcfg.reps = r.parse().map_err(|_| usage("bad --reps"))?;
-        if mcfg.reps == 0 {
-            return Err(usage("--reps must be at least 1"));
-        }
-    }
-    if let Some(w) = opts.get("warmup") {
-        mcfg.warmup = w.parse().map_err(|_| usage("bad --warmup"))?;
-    }
-    if let Some(s) = opts.get("seed") {
-        mcfg.seed = s.parse().map_err(|_| usage("bad --seed"))?;
-    }
-    mcfg.integrity = opts.contains_key("integrity");
-    let baseline_out = opts.get("baseline-out").map(PathBuf::from);
-    if baseline_out.is_some() && !mcfg.integrity {
-        return Err(usage(
-            "--baseline-out requires --integrity (it is the plain side of a paired overhead run)",
-        ));
-    }
-    let anchor = match opts.get("machine") {
-        Some(name) => machine_by_name(name).map_err(usage)?,
-        None => presets::kaby_lake_7700k(),
-    };
-    println!(
-        "bench: {} suite, {} reps + {} warmup, seed {}, STREAM roofline {:.1} GB/s ({}){}",
-        kind.label(),
-        mcfg.reps,
-        mcfg.warmup,
-        mcfg.seed,
-        anchor.total_dram_bw_gbs(),
-        anchor.name,
-        match (mcfg.integrity, baseline_out.is_some()) {
-            (true, true) => ", paired plain/guarded reps",
-            (true, false) => ", integrity guards on",
-            _ => "",
-        }
-    );
-    let (mut report, paired_plain) = if let Some(base_path) = &baseline_out {
-        let (plain, guarded) = run_suite_paired(kind, &mcfg, &StatsConfig::default(), &anchor, true)
-            .map_err(|e| CliError::Runtime(e.to_string()))?;
-        write_file(base_path, &plain).map_err(|e| CliError::Runtime(e.to_string()))?;
-        println!(
-            "wrote {} (plain half of the pair, {} suites)",
-            base_path.display(),
-            plain.suites.len()
-        );
-        (guarded, Some(plain))
+    let serve = opts.get("suite") == Some("serve");
+    let (suite_name, foreign) = if serve {
+        ("serve", BENCH_EXECUTOR)
     } else {
-        let report = run_suite(kind, &mcfg, &StatsConfig::default(), &anchor, true)
-            .map_err(|e| CliError::Runtime(e.to_string()))?;
-        (report, None)
+        ("executor", SERVE_LOAD)
     };
+    if let Some(f) = foreign.iter().find(|f| opts.has(f.name)) {
+        return Err(usage(format!("--{} does not apply to the {suite_name} suite", f.name)));
+    }
+    let baseline_out = opts.get("baseline-out").map(PathBuf::from);
+    let paired = baseline_out.is_some();
+    let stats = StatsConfig::default();
+    let (a, b) = if serve {
+        let cfg = serve_bench_config(opts)?;
+        println!(
+            "bench: serve suite, {} open-loop request(s) of {}, {} worker(s), seed {}{}",
+            cfg.requests,
+            cfg.dims.label(),
+            cfg.workers,
+            cfg.seed,
+            if paired { ", paired metrics-off/metrics-on runs" } else { "" }
+        );
+        run_serve_suite(&cfg, &stats, paired)
+    } else {
+        let kind = match opts.get("suite") {
+            None => SuiteKind::Smoke,
+            Some(s) => SuiteKind::parse(s)
+                .ok_or_else(|| usage(format!("unknown --suite `{s}` (smoke|fast|full|serve)")))?,
+        };
+        let defaults = MeasureConfig::default();
+        let mcfg = MeasureConfig {
+            reps: opts.count("reps")?.unwrap_or(defaults.reps),
+            warmup: opts.parse("warmup")?.unwrap_or(defaults.warmup),
+            seed: opts.seed()?,
+        };
+        let anchor = opts.machine()?.unwrap_or_else(presets::kaby_lake_7700k);
+        println!(
+            "bench: {} suite, {} reps + {} warmup, seed {}, STREAM roofline {:.1} GB/s ({}){}",
+            kind.label(),
+            mcfg.reps,
+            mcfg.warmup,
+            mcfg.seed,
+            anchor.total_dram_bw_gbs(),
+            anchor.name,
+            if paired { ", paired plain/guarded reps" } else { "" }
+        );
+        run_suite(kind, &mcfg, &stats, &anchor, paired, true)
+    }
+    .map_err(runtime)?;
+    // A paired run's side A is the baseline half; side B is the record.
+    let (mut report, baseline) = match b {
+        Some(b) => (b, Some(a)),
+        None => (a, None),
+    };
+    if let (Some(path), Some(base)) = (&baseline_out, &baseline) {
+        write_file(path, base).map_err(runtime)?;
+        println!("wrote {} (baseline half of the pair)", path.display());
+    }
     if let Some(f) = derate_factor {
         derate(&mut report, f);
         println!("note: record derated {f}x (gate self-test)");
+    }
+    for s in &report.suites {
+        if let Some(m) = &s.serve {
+            println!(
+                "  {:<34} {:.0} req/s  p50 {:>8.3} ms  p99 {:>8.3} ms  \
+                 ({} completed, {} rejected, {} deadline-exceeded, {} failed)",
+                s.key,
+                m.requests_per_sec,
+                m.p50_ns / 1e6,
+                m.p99_ns / 1e6,
+                m.completed,
+                m.rejected,
+                m.deadline_exceeded,
+                m.failed
+            );
+        }
     }
     let out = opts
         .get("out")
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from(bench_filename(&report.git_rev)));
-    write_file(&out, &report).map_err(|e| CliError::Runtime(e.to_string()))?;
+    write_file(&out, &report).map_err(runtime)?;
     println!("wrote {} ({} suites, rev {})", out.display(), report.suites.len(), report.git_rev);
     if let Some(base_path) = opts.get("compare") {
-        let base = load_bench(base_path)?;
-        return finish_compare(&base, &report, &gate);
+        return finish_compare(&load_bench(base_path)?, &report, &gate);
     }
-    if let Some(plain) = paired_plain {
-        return finish_compare(&plain, &report, &gate);
+    match baseline {
+        // The serve pair gates medians only: the claim under test is
+        // median overhead, and a single run's p99 is a point estimate
+        // that would flake on scheduler outliers.
+        Some(base) => finish_compare(
+            &base,
+            &report,
+            &GateConfig {
+                median_only: serve,
+                ..gate
+            },
+        ),
+        None => Ok(()),
     }
-    Ok(())
-}
-
-/// `bench --suite serve`: the open-loop latency bench. Writes a
-/// single-row `bwfft-bench/1` record whose service columns carry
-/// requests/sec, p50/p99 and the outcome counts, then gates against a
-/// baseline like any other suite (the p99 tail is threshold-gated).
-fn cmd_bench_serve(
-    opts: &HashMap<String, String>,
-    gate: &GateConfig,
-    derate_factor: Option<f64>,
-) -> Result<(), CliError> {
-    let cfg = serve_bench_config(opts)?;
-    let overhead_pair = opts.contains_key("metrics-overhead");
-    let baseline_out = opts.get("baseline-out").map(PathBuf::from);
-    if overhead_pair && baseline_out.is_none() {
-        return Err(usage(
-            "--metrics-overhead requires --baseline-out PATH (the metrics-off half of the pair)",
-        ));
-    }
-    println!(
-        "bench: serve suite, {} open-loop request(s) of {}, {} worker(s), seed {}{}",
-        cfg.requests,
-        cfg.dims.label(),
-        cfg.workers,
-        cfg.seed,
-        if overhead_pair {
-            ", paired metrics-off/metrics-on runs"
-        } else {
-            ""
-        }
-    );
-    let (mut report, paired_off) = if overhead_pair {
-        let (off, on) = run_serve_suite_paired(&cfg, &StatsConfig::default())
-            .map_err(|e| CliError::Runtime(e.to_string()))?;
-        let base_path = baseline_out.as_deref().unwrap_or(Path::new("BENCH_metrics_off.json"));
-        write_file(base_path, &off).map_err(|e| CliError::Runtime(e.to_string()))?;
-        println!(
-            "wrote {} (metrics-off half of the pair)",
-            base_path.display()
-        );
-        (on, Some(off))
-    } else {
-        let report = run_serve_suite(&cfg, &StatsConfig::default())
-            .map_err(|e| CliError::Runtime(e.to_string()))?;
-        (report, None)
-    };
-    if let Some(f) = derate_factor {
-        derate(&mut report, f);
-        println!("note: record derated {f}x (gate self-test)");
-    }
-    let s = &report.suites[0];
-    if let Some(m) = &s.serve {
-        println!(
-            "  {:<34} {:.0} req/s  p50 {:>8.3} ms  p99 {:>8.3} ms  \
-             ({} completed, {} rejected, {} deadline-exceeded, {} failed)",
-            s.key,
-            m.requests_per_sec,
-            m.p50_ns / 1e6,
-            m.p99_ns / 1e6,
-            m.completed,
-            m.rejected,
-            m.deadline_exceeded,
-            m.failed
-        );
-    }
-    let out = opts
-        .get("out")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from(bench_filename(&report.git_rev)));
-    write_file(&out, &report).map_err(|e| CliError::Runtime(e.to_string()))?;
-    println!(
-        "wrote {} ({} suites, rev {})",
-        out.display(),
-        report.suites.len(),
-        report.git_rev
-    );
-    if let Some(base_path) = opts.get("compare") {
-        let base = load_bench(base_path)?;
-        return finish_compare(&base, &report, gate);
-    }
-    if let Some(off) = paired_off {
-        // The overhead gate: metrics-on median latency vs the
-        // metrics-off half of the same pair. Median-only — the claim
-        // under test is median overhead, and a single run's p99 is a
-        // point estimate that would flake on scheduler outliers.
-        let overhead_gate = GateConfig {
-            median_only: true,
-            ..*gate
-        };
-        return finish_compare(&off, &report, &overhead_gate);
-    }
-    Ok(())
 }
 
 fn load_bench(path: &str) -> Result<BenchReport, CliError> {
-    read_file(Path::new(path)).map_err(|e| CliError::Runtime(e.to_string()))
+    read_file(Path::new(path)).map_err(runtime)
 }
 
 /// Prints the human diff table, then the machine-readable verdict as
@@ -1808,108 +1934,6 @@ fn finish_compare(
     }
 }
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
-    let mut out = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        let Some(name) = a.strip_prefix("--") else {
-            return Err(format!("unexpected argument `{a}`"));
-        };
-        // `--profile` stands alone (human report) or takes a glued
-        // `=FORMAT` value (`--profile=json`); a separate-word value
-        // would be ambiguous with the next flag.
-        if name == "profile" || name.starts_with("profile=") {
-            let val = name.strip_prefix("profile=").unwrap_or("");
-            out.insert("profile".to_string(), val.to_string());
-            i += 1;
-            continue;
-        }
-        // `--metrics` follows the same glued-`=` convention:
-        // standalone (Prometheus text) or `--metrics=json`.
-        if name == "metrics" || name.starts_with("metrics=") {
-            let val = name.strip_prefix("metrics=").unwrap_or("");
-            out.insert("metrics".to_string(), val.to_string());
-            i += 1;
-            continue;
-        }
-        if let Some((key, _)) = name.split_once('=') {
-            return Err(format!("--{key} does not take `=VALUE`"));
-        }
-        // Boolean flags take no value.
-        if matches!(
-            name,
-            "inverse"
-                | "verify"
-                | "baselines"
-                | "adapt"
-                | "model-only"
-                | "plan-stats"
-                | "integrity"
-                | "recover"
-                | "serve"
-                | "impulse"
-                | "metrics-overhead"
-                | "resume"
-                | "keep-workspace"
-                | "ooc-kill"
-        ) {
-            out.insert(name.to_string(), String::new());
-            i += 1;
-        } else if matches!(
-            name,
-            "dims"
-                | "threads"
-                | "buffer"
-                | "machine"
-                | "sockets"
-                | "inject-panic"
-                | "timeout-ms"
-                | "wisdom"
-                | "seed"
-                | "suite"
-                | "reps"
-                | "warmup"
-                | "out"
-                | "baseline-out"
-                | "compare"
-                | "current"
-                | "threshold"
-                | "derate"
-                | "iters"
-                | "stall-ms"
-                | "serve-iters"
-                | "requests"
-                | "workers"
-                | "queue-depth"
-                | "byte-budget"
-                | "deadline-ms"
-                | "arrival-us"
-                | "n"
-                | "budget"
-                | "bins"
-                | "inject-io-fault"
-                | "metrics-every-ms"
-                | "from"
-                | "to"
-                | "workspace"
-                | "resume-verify"
-                | "crash-at"
-                | "dir"
-                | "older-than-secs"
-                | "ooc-dir"
-        ) {
-            let v = args
-                .get(i + 1)
-                .ok_or_else(|| format!("--{name} needs a value"))?;
-            out.insert(name.to_string(), v.clone());
-            i += 2;
-        } else {
-            return Err(format!("unknown flag --{name}"));
-        }
-    }
-    Ok(out)
-}
 
 fn parse_dims(s: &str) -> Result<Dims, String> {
     let parts: Vec<usize> = s
@@ -1946,6 +1970,22 @@ fn machine_by_name(name: &str) -> Result<MachineSpec, String> {
 mod tests {
     use super::*;
 
+    fn argv(words: &[&str]) -> Vec<String> {
+        words.iter().map(|s| s.to_string()).collect()
+    }
+
+    fn is_usage(words: &[&str]) -> bool {
+        matches!(run(&argv(words)), Err(CliError::Usage(_)))
+    }
+
+    #[allow(clippy::expect_used)]
+    fn command(name: &str) -> &'static Command {
+        COMMANDS
+            .iter()
+            .find(|c| c.name == name)
+            .expect("command in table")
+    }
+
     #[test]
     fn dims_parse() {
         assert_eq!(parse_dims("64x32").unwrap(), Dims::d2(64, 32));
@@ -1956,14 +1996,15 @@ mod tests {
 
     #[test]
     fn flags_parse() {
-        let args: Vec<String> = ["--dims", "8x8x8", "--verify", "--threads", "2,2"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let f = parse_flags(&args).unwrap();
-        assert_eq!(f.get("dims").unwrap(), "8x8x8");
-        assert!(f.contains_key("verify"));
-        assert_eq!(parse_pair(f.get("threads").unwrap()).unwrap(), (2, 2));
+        let args = argv(&["--dims", "8x8x8", "--verify", "--threads", "2,2"]);
+        let f = parse_flags(command("run"), &args).unwrap();
+        assert_eq!(f.get("dims"), Some("8x8x8"));
+        assert!(f.has("verify"));
+        assert!(!f.has("inverse"));
+        assert_eq!(f.threads().unwrap(), Some((2, 2)));
+        // A value flag at the end of the line has no value.
+        assert!(parse_flags(command("run"), &argv(&["--dims"])).is_err());
+        assert!(parse_flags(command("run"), &argv(&["8x8"])).is_err());
     }
 
     #[test]
@@ -1974,11 +2015,7 @@ mod tests {
 
     #[test]
     fn run_command_executes_and_verifies() {
-        let args: Vec<String> = ["run", "--dims", "8x8x16", "--threads", "1,1", "--verify"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        run(&args).unwrap();
+        run(&argv(&["run", "--dims", "8x8x16", "--threads", "1,1", "--verify"])).unwrap();
     }
 
     #[test]
@@ -1993,22 +2030,15 @@ mod tests {
     fn adapted_run_degrades_instead_of_failing() {
         // On any host (including 1-CPU CI) --adapt must succeed; on a
         // weak host it falls back to the fused executor.
-        let args: Vec<String> = ["run", "--dims", "8x8x8", "--threads", "2,2", "--adapt"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        run(&args).unwrap();
+        run(&argv(&["run", "--dims", "8x8x8", "--threads", "2,2", "--adapt"])).unwrap();
     }
 
     #[test]
     fn injected_panic_is_a_runtime_error_not_a_crash() {
-        let args: Vec<String> = [
+        let args = argv(&[
             "run", "--dims", "8x8x16", "--threads", "1,1",
             "--inject-panic", "compute,0,1", "--timeout-ms", "2000",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+        ]);
         match run(&args) {
             Err(CliError::Runtime(msg)) => {
                 assert!(msg.contains("panicked at block 1"), "{msg}");
@@ -2045,46 +2075,26 @@ mod tests {
         // compute thread 0 at block 1 bites the pipelined AND the fused
         // executor; --recover escalates to the reference tier and
         // --verify proves the answer is still right.
-        let args: Vec<String> = [
+        run(&argv(&[
             "run", "--dims", "8x8x16", "--threads", "2,2",
             "--integrity", "--recover", "--verify",
             "--inject-panic", "compute,0,1", "--timeout-ms", "2000",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        run(&args).unwrap();
+        ])).unwrap();
     }
 
     #[test]
     fn soak_subcommand_smoke() {
-        let args: Vec<String> = ["soak", "--iters", "8", "--seed", "7"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        run(&args).unwrap();
+        run(&argv(&["soak", "--iters", "8", "--seed", "7"])).unwrap();
         // Bad iteration counts are usage errors.
-        let args: Vec<String> = ["soak", "--iters", "0"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert!(matches!(run(&args), Err(CliError::Usage(_))));
+        assert!(is_usage(&["soak", "--iters", "0"]));
     }
 
     #[test]
     fn soak_serve_matrix_smoke() {
-        let args: Vec<String> = [
+        run(&argv(&[
             "soak", "--iters", "4", "--seed", "7", "--serve", "--serve-iters", "4",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        run(&args).unwrap();
-        let args: Vec<String> = ["soak", "--iters", "4", "--serve", "--serve-iters", "0"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert!(matches!(run(&args), Err(CliError::Usage(_))));
+        ])).unwrap();
+        assert!(is_usage(&["soak", "--iters", "4", "--serve", "--serve-iters", "0"]));
     }
 
     #[test]
@@ -2130,42 +2140,37 @@ mod tests {
 
     #[test]
     fn serve_subcommand_drains_cleanly() {
-        let args: Vec<String> = [
+        run(&argv(&[
             "serve", "--requests", "8", "--dims", "16x32", "--buffer", "128",
             "--workers", "2", "--seed", "3",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        run(&args).unwrap();
+        ])).unwrap();
     }
 
     #[test]
     fn serve_drains_to_exit_zero_even_when_every_deadline_expires() {
         // Deadline misses are typed outcomes of a working service, not
         // faults: the drained run exits 0.
-        let args: Vec<String> = [
+        run(&argv(&[
             "serve", "--requests", "6", "--dims", "16x32", "--buffer", "128",
             "--deadline-ms", "0",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        run(&args).unwrap();
+        ])).unwrap();
     }
 
     #[test]
     fn serve_drains_to_exit_zero_under_burst_shedding() {
         // A shallow queue under burst arrivals sheds load with typed
         // rejections; the drain still balances and exits 0.
-        let args: Vec<String> = [
+        run(&argv(&[
             "serve", "--requests", "16", "--dims", "16x32", "--buffer", "128",
             "--workers", "1", "--queue-depth", "1",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        run(&args).unwrap();
+        ])).unwrap();
+    }
+
+    #[test]
+    fn serve_default_buffer_drains_64x64() {
+        // The planner derives the buffer from the shape, so a shape
+        // whose pencil batch exceeds any fixed default still plans.
+        run(&argv(&["serve", "--requests", "4", "--dims", "64x64", "--workers", "1"])).unwrap();
     }
 
     #[test]
@@ -2178,18 +2183,13 @@ mod tests {
             // from plan validation), not load shedding.
             vec!["serve", "--requests", "1", "--dims", "12x10"],
         ] {
-            let args: Vec<String> = bad.iter().map(|s| s.to_string()).collect();
-            assert!(matches!(run(&args), Err(CliError::Usage(_))), "{bad:?}");
+            assert!(is_usage(&bad), "{bad:?}");
         }
     }
 
     #[test]
     fn tune_command_runs_model_only() {
-        let args: Vec<String> = ["tune", "--dims", "32x32", "--model-only", "--plan-stats"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        run(&args).unwrap();
+        run(&argv(&["tune", "--dims", "32x32", "--model-only", "--plan-stats"])).unwrap();
     }
 
     #[test]
@@ -2198,13 +2198,10 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("w.wisdom");
         let _ = std::fs::remove_file(&path);
-        let args: Vec<String> = [
+        let args = argv(&[
             "tune", "--dims", "32x32", "--model-only",
             "--wisdom", path.to_str().unwrap(),
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+        ]);
         // First run tunes and writes wisdom; second run must load it
         // and skip the search entirely.
         run(&args).unwrap();
@@ -2229,13 +2226,10 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("bad.wisdom");
         std::fs::write(&path, "not a wisdom file\n").unwrap();
-        let args: Vec<String> = [
+        let args = argv(&[
             "tune", "--dims", "32x32", "--model-only",
             "--wisdom", path.to_str().unwrap(),
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+        ]);
         // The corrupt file triggers a warning and a fresh tune, then is
         // overwritten with valid wisdom.
         run(&args).unwrap();
@@ -2247,73 +2241,124 @@ mod tests {
 
     #[test]
     fn profile_flag_parses_both_forms() {
-        let args: Vec<String> = ["--profile"].iter().map(|s| s.to_string()).collect();
-        let f = parse_flags(&args).unwrap();
+        let args = argv(&["--profile"]);
+        let f = parse_flags(command("run"), &args).unwrap();
         assert_eq!(profile_mode(&f).unwrap(), Some(false));
 
-        let args: Vec<String> = ["--profile=json"].iter().map(|s| s.to_string()).collect();
-        let f = parse_flags(&args).unwrap();
+        let args = argv(&["--profile=json"]);
+        let f = parse_flags(command("run"), &args).unwrap();
         assert_eq!(profile_mode(&f).unwrap(), Some(true));
 
-        let args: Vec<String> = ["--profile=yaml"].iter().map(|s| s.to_string()).collect();
-        let f = parse_flags(&args).unwrap();
+        let args = argv(&["--profile=yaml"]);
+        let f = parse_flags(command("run"), &args).unwrap();
         assert!(matches!(profile_mode(&f), Err(CliError::Usage(_))));
 
-        assert_eq!(profile_mode(&HashMap::new()).unwrap(), None);
+        let none = parse_flags(command("run"), &[]).unwrap();
+        assert_eq!(profile_mode(&none).unwrap(), None);
         // `=` on any other flag is rejected.
-        let args: Vec<String> = ["--dims=8x8"].iter().map(|s| s.to_string()).collect();
-        assert!(parse_flags(&args).is_err());
+        let args = argv(&["--dims=8x8"]);
+        assert!(parse_flags(command("run"), &args).is_err());
     }
 
     #[test]
     fn metrics_flag_parses_both_forms() {
-        let args: Vec<String> = ["--metrics"].iter().map(|s| s.to_string()).collect();
-        let f = parse_flags(&args).unwrap();
+        let args = argv(&["--metrics"]);
+        let f = parse_flags(command("serve"), &args).unwrap();
         assert_eq!(metrics_mode(&f).unwrap(), Some(false), "bare = prometheus");
 
-        let args: Vec<String> = ["--metrics=prom"].iter().map(|s| s.to_string()).collect();
-        let f = parse_flags(&args).unwrap();
+        let args = argv(&["--metrics=prom"]);
+        let f = parse_flags(command("serve"), &args).unwrap();
         assert_eq!(metrics_mode(&f).unwrap(), Some(false));
 
-        let args: Vec<String> = ["--metrics=json"].iter().map(|s| s.to_string()).collect();
-        let f = parse_flags(&args).unwrap();
+        let args = argv(&["--metrics=json"]);
+        let f = parse_flags(command("serve"), &args).unwrap();
         assert_eq!(metrics_mode(&f).unwrap(), Some(true));
 
-        let args: Vec<String> = ["--metrics=xml"].iter().map(|s| s.to_string()).collect();
-        let f = parse_flags(&args).unwrap();
+        let args = argv(&["--metrics=xml"]);
+        let f = parse_flags(command("serve"), &args).unwrap();
         assert!(matches!(metrics_mode(&f), Err(CliError::Usage(_))));
 
-        assert_eq!(metrics_mode(&HashMap::new()).unwrap(), None);
+        let none = parse_flags(command("serve"), &[]).unwrap();
+        assert_eq!(metrics_mode(&none).unwrap(), None);
     }
 
     #[test]
     fn metrics_every_ms_requires_metrics() {
-        let args: Vec<String> = ["serve", "--requests", "1", "--metrics-every-ms", "5"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert!(matches!(run(&args), Err(CliError::Usage(_))));
+        assert!(is_usage(&["serve", "--requests", "1", "--metrics-every-ms", "5"]));
     }
 
     #[test]
-    fn metrics_overhead_requires_baseline_out() {
-        let args: Vec<String> = ["bench", "--suite", "serve", "--metrics-overhead"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert!(matches!(run(&args), Err(CliError::Usage(_))));
+    fn retired_pair_flags_are_usage_errors() {
+        // The suite decides its own A/B pair under --baseline-out; the
+        // flags that used to pick it are gone.
+        for bad in [
+            vec!["bench", "--suite", "serve", "--metrics-overhead"],
+            vec!["bench", "--integrity", "--baseline-out", "p.json"],
+        ] {
+            assert!(is_usage(&bad), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn undeclared_flags_are_usage_errors_for_every_subcommand() {
+        // Every subcommand against a flag some other subcommand
+        // declares but it does not. The flag comes first, so nothing
+        // runs before the parser refuses it.
+        let every: Vec<&Flag> = COMMANDS.iter().flat_map(|c| c.flags()).collect();
+        for cmd in COMMANDS {
+            let foreign = every
+                .iter()
+                .find(|f| cmd.flag(f.name).is_none())
+                .map_or("no-such-flag", |f| f.name);
+            let mut args: Vec<&str> = cmd.name.split(' ').collect();
+            let flag = format!("--{foreign}");
+            args.extend([flag.as_str(), "1"]);
+            match run(&argv(&args)) {
+                Err(CliError::Usage(msg)) => assert!(msg.contains(&flag), "{args:?}: {msg}"),
+                other => panic!("{args:?} must be a usage error, got {other:?}"),
+            }
+        }
+        // Flags that used to be accepted by every subcommand and then
+        // silently did nothing.
+        for bad in [
+            vec!["ooc", "--n", "4096", "--inject-panic", "compute,0,0", "--recover"],
+            vec!["bench", "--suite", "serve", "--crash-at", "0,0"],
+            vec!["run", "--dims", "8x8", "--ooc-kill"],
+            vec!["r2c", "--dims", "8x8", "--inverse"],
+            vec!["workspace", "gc", "--dir", "/nonexistent", "--seed", "1"],
+        ] {
+            assert!(is_usage(&bad), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn usage_text_is_generated_from_the_tables() {
+        let all = overview();
+        for cmd in COMMANDS {
+            assert!(all.contains(&synopsis(cmd)), "{}", cmd.name);
+            let text = command_usage(cmd);
+            assert!(text.contains(cmd.about), "{}", cmd.name);
+            for f in cmd.flags() {
+                assert!(text.contains(&flag_token(f)), "{}: {}", cmd.name, f.name);
+                assert!(text.contains(f.help), "{}: {}", cmd.name, f.name);
+            }
+        }
+        // A subcommand declares each flag once, shared groups included.
+        for cmd in COMMANDS {
+            let mut names: Vec<&str> = cmd.flags().map(|f| f.name).collect();
+            names.sort_unstable();
+            let n = names.len();
+            names.dedup();
+            assert_eq!(names.len(), n, "{} declares a flag twice", cmd.name);
+        }
     }
 
     #[test]
     fn stat_requires_both_files() {
-        let args: Vec<String> = ["stat"].iter().map(|s| s.to_string()).collect();
-        assert!(matches!(run(&args), Err(CliError::Usage(_))));
+        assert!(is_usage(&["stat"]));
         // A present flag but unreadable file is a runtime error, not
         // a usage error.
-        let args: Vec<String> = ["stat", "--from", "/nonexistent.json", "--to", "/n2.json"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
+        let args = argv(&["stat", "--from", "/nonexistent.json", "--to", "/n2.json"]);
         assert!(matches!(run(&args), Err(CliError::Runtime(_))));
     }
 
@@ -2344,34 +2389,22 @@ mod tests {
 
     #[test]
     fn profiled_run_succeeds_and_verifies() {
-        let args: Vec<String> = [
+        run(&argv(&[
             "run", "--dims", "16x16", "--threads", "1,1", "--verify", "--profile",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        run(&args).unwrap();
+        ])).unwrap();
     }
 
     #[test]
     fn profiled_json_run_succeeds() {
-        let args: Vec<String> = [
+        run(&argv(&[
             "run", "--dims", "8x8x8", "--threads", "1,1",
             "--profile=json", "--machine", "haswell4770",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        run(&args).unwrap();
+        ])).unwrap();
     }
 
     #[test]
     fn profiled_tune_succeeds() {
-        let args: Vec<String> = ["tune", "--dims", "32x32", "--model-only", "--profile"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        run(&args).unwrap();
+        run(&argv(&["tune", "--dims", "32x32", "--model-only", "--profile"])).unwrap();
     }
 
     fn bench_args(extra: &[&str]) -> Vec<String> {
@@ -2414,15 +2447,11 @@ mod tests {
 
         // Replay mode: the two files compare without re-running, and an
         // un-derated self-compare passes.
-        let args: Vec<String> = [
+        run(&argv(&[
             "bench",
             "--compare", baseline.to_str().unwrap(),
             "--current", baseline.to_str().unwrap(),
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        run(&args).unwrap();
+        ])).unwrap();
     }
 
     #[test]
@@ -2431,13 +2460,15 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let baseline = dir.join("BENCH_serve_base.json");
 
-        let base_args: Vec<String> = [
-            "bench", "--suite", "serve", "--requests", "8", "--workers", "2",
+        // `--buffer 128` keeps the per-request work this self-test is
+        // calibrated on. At the planner-derived buffer a 16x32 request
+        // takes well under a millisecond in a debug build, and the
+        // 8-sample p99 of two live runs can differ by more than the 3x
+        // derate.
+        let base_args = argv(&[
+            "bench", "--suite", "serve", "--requests", "8", "--workers", "2", "--buffer", "128",
             "--seed", "5", "--out", baseline.to_str().unwrap(),
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+        ]);
         run(&base_args).unwrap();
         let rep = read_file(&baseline).unwrap();
         assert_eq!(rep.schema, "bwfft-bench/1");
@@ -2450,15 +2481,12 @@ mod tests {
         // A derated rerun inflates the tail; the p99 threshold gate
         // must name it even without CI separation.
         let current = dir.join("BENCH_serve_cur.json");
-        let cur_args: Vec<String> = [
-            "bench", "--suite", "serve", "--requests", "8", "--workers", "2",
+        let cur_args = argv(&[
+            "bench", "--suite", "serve", "--requests", "8", "--workers", "2", "--buffer", "128",
             "--seed", "5", "--derate", "3",
             "--out", current.to_str().unwrap(),
             "--compare", baseline.to_str().unwrap(),
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+        ]);
         match run(&cur_args) {
             Err(CliError::Runtime(msg)) => {
                 assert!(msg.contains("regression"), "{msg}");
@@ -2468,48 +2496,33 @@ mod tests {
         }
 
         // Replay self-compare of the serve record passes the gate.
-        let args: Vec<String> = [
+        run(&argv(&[
             "bench",
             "--compare", baseline.to_str().unwrap(),
             "--current", baseline.to_str().unwrap(),
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        run(&args).unwrap();
+        ])).unwrap();
     }
 
     #[test]
     fn bench_flag_validation() {
-        let args: Vec<String> = ["bench", "--suite", "warp"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert!(matches!(run(&args), Err(CliError::Usage(_))));
-        let args: Vec<String> = ["bench", "--current", "x.json"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert!(matches!(run(&args), Err(CliError::Usage(_))));
-        let args: Vec<String> = ["bench", "--reps", "0"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert!(matches!(run(&args), Err(CliError::Usage(_))));
+        assert!(is_usage(&["bench", "--suite", "warp"]));
+        assert!(is_usage(&["bench", "--current", "x.json"]));
+        // A replay runs nothing, so run flags are refused, not ignored.
+        assert!(is_usage(&["bench", "--current", "a.json", "--compare", "b.json", "--reps", "9"]));
+        assert!(is_usage(&["bench", "--reps", "0"]));
+        // Each suite rejects the other suite's knobs.
+        assert!(is_usage(&["bench", "--suite", "serve", "--reps", "3"]));
+        assert!(is_usage(&["bench", "--suite", "fast", "--requests", "3"]));
     }
 
     #[test]
     fn ooc_subcommand_completes_with_injected_fault() {
         // A transform 4× the working budget, one injected read fault:
         // the ladder retries, the oracle passes, exit is clean.
-        let args: Vec<String> = [
+        run(&argv(&[
             "ooc", "--n", "4096", "--budget", "16384", "--bins", "8",
             "--seed", "7", "--inject-io-fault", "read,1,0",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        run(&args).unwrap();
+        ])).unwrap();
     }
 
     #[test]
@@ -2520,7 +2533,7 @@ mod tests {
             vec!["ooc", "--n", "2"],               // below the 4-elem floor
             vec!["ooc", "--n", "65536", "--budget", "1"], // infeasible budget
         ] {
-            let args: Vec<String> = bad.iter().map(|s| s.to_string()).collect();
+            let args = argv(&bad);
             assert!(matches!(run(&args), Err(CliError::Runtime(_))), "{bad:?}");
         }
         // ...while malformed flags are usage errors (exit 2).
@@ -2534,8 +2547,7 @@ mod tests {
             vec!["ooc", "--n", "4096", "--inject-io-fault", "rread,1,0"],
             vec!["ooc", "--n", "4096", "--inject-io-fault", "read,1"],
         ] {
-            let args: Vec<String> = bad.iter().map(|s| s.to_string()).collect();
-            assert!(matches!(run(&args), Err(CliError::Usage(_))), "{bad:?}");
+            assert!(is_usage(&bad), "{bad:?}");
         }
     }
 
@@ -2557,3 +2569,4 @@ mod tests {
         assert!(parse_fault("data,0").is_err());
     }
 }
+

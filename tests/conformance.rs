@@ -9,7 +9,7 @@
 //! the unnormalized transform's `O(n)` output growth and makes one
 //! bound meaningful across sizes:
 //!
-//! * power-of-two kernels (radix-2 / radix-4 Stockham, split-radix):
+//! * power-of-two kernels (radix-2 / radix-4 Stockham):
 //!   observed worst case stays below ~64 ULP for `n ≤ 4096`; the
 //!   contract is [`POW2_ULP_BOUND`] = 512 ULP (≈8× headroom).
 //! * Bluestein embeds `DFT_n` in a length-`M ≥ 2n−1` cyclic
@@ -26,7 +26,6 @@ use bwfft::core::{exec_real, Dims, FftPlan};
 use bwfft::kernels::batch::BatchFft;
 use bwfft::kernels::bluestein::{AnyFft, Bluestein};
 use bwfft::kernels::reference::{dft2_naive, dft3_naive, dft_naive};
-use bwfft::kernels::splitradix::SplitRadixFft;
 use bwfft::kernels::{Direction, KernelVariant};
 use bwfft::num::signal::{complex_tone, impulse, random_complex};
 use bwfft::num::Complex64;
@@ -89,9 +88,6 @@ fn kernel_outputs(x: &[Complex64], dir: Direction) -> Vec<(String, Vec<Complex64
             BatchFft::with_variant(n, 1, dir, variant).run(&mut buf);
             out.push((format!("stockham-{}", variant.token()), buf, POW2_ULP_BOUND));
         }
-        let mut buf = x.to_vec();
-        SplitRadixFft::new(n, dir).run(&mut buf);
-        out.push(("splitradix".to_string(), buf, POW2_ULP_BOUND));
     }
     let mut buf = x.to_vec();
     Bluestein::new(n, dir).run(&mut buf);
